@@ -94,7 +94,6 @@ class RunConfig:
     alpha_off: float = DeviceParams.default().alpha_off
     alpha_on: float = DeviceParams.default().alpha_on
     d_thickness: float = DeviceParams.default().d_thickness
-    delta: float = DeviceParams.default().delta
     tau: float = DeviceParams.default().tau
     p_exp: float = DeviceParams.default().p_exp
     # noise
@@ -205,7 +204,6 @@ _KEYS: dict[str, tuple[Callable[[str], object], Callable[[object], str | None]]]
     "alpha_off": (float, _chk_nonneg),
     "alpha_on": (float, _chk_nonneg),
     "d_thickness": (float, _chk_pos),
-    "delta": (float, _chk_unit_open),
     "tau": (float, _chk_nonneg),
     "p_exp": (float, _chk_pos),
     "sigma": (float, _chk_nonneg),
@@ -289,7 +287,6 @@ def to_device_params(cfg: RunConfig) -> DeviceParams:
         alpha_off=cfg.alpha_off,
         alpha_on=cfg.alpha_on,
         d_thickness=cfg.d_thickness,
-        delta=cfg.delta,
         tau=cfg.tau,
         p_exp=cfg.p_exp,
     )

@@ -5,15 +5,16 @@ Every crosspoint holds a device: connected synapses sit on calibrated
 metastate plateaus, pruned ones are parked at x = 0 where they still leak
 the off conductance under read.  Column neurons are current comparators,
 either against a fixed calibrated reference or against a reference that
-tracks the column's own total conductance.  Training applies one
-potentiation phase and one depression phase per pattern; unselected rows
-are held at half the programming voltage, which is below the device
-threshold and therefore moves nothing.
+tracks the column's own total conductance.  Training runs the behavioral
+network's correction step, whose step rule here is one read-verified
+programming pulse per selected device; unselected rows are held at half
+the programming voltage, which is below the device threshold and
+therefore moves nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,6 +25,7 @@ from .device import (
     NoiseModel,
     calibrate_metastate_table,
     conductance,
+    flip_conductances,
     integrate_pulse,
 )
 from .network import (
@@ -32,11 +34,12 @@ from .network import (
     Model,
     NetworkConfig,
     Pattern,
+    correct_pattern,
     lifetime_loop,
     make_pattern_set,
     seed_streams,
 )
-from .synapse import Efficacy, MetaState
+from .synapse import Efficacy, MetaState, UpdateDirection
 
 
 class ComparatorMode(str, Enum):
@@ -120,6 +123,7 @@ class Crossbar:
         self.v_program = abs(table.pulse.amplitude)
         self.v_half = self.v_program / 2.0
         self.noise = noise
+        self.train_rng = np.random.default_rng(seed_streams(cfg.seed)["train"])
         if not abs(v_read) < params.v_off:
             raise ValueError("v_read would disturb the devices")
         if not self.v_half < params.v_off:
@@ -168,34 +172,11 @@ class Crossbar:
         tracked = (1.0 - gamma) * self.tracking_base + gamma * self.connected_column_conductance()
         return self.kappa * self.v_read * tracked
 
-    def infer(self, input_bits: np.ndarray) -> np.ndarray:
-        return self.infer_batch(input_bits[np.newaxis, :])[0]
-
     def infer_batch(self, inputs: np.ndarray) -> np.ndarray:
         currents = self.column_currents_batch(inputs)
         return (currents > self.references()[np.newaxis, :]).astype(np.uint8)
 
     # ---- program path ----------------------------------------------------
-
-    def _phase_select(self, active: np.ndarray, err_cols: np.ndarray, top: bool) -> np.ndarray:
-        """Devices to pulse in one phase: connected, on an active row, in an
-        erroneous column, and not already decoded at the chain end the pulse
-        pushes toward (the read-verify guard that realizes saturation)."""
-        sel = self.mask & active[:, np.newaxis] & err_cols[np.newaxis, :]
-        if not sel.any():
-            return sel
-        idx = self.table.decode_index(self.x[sel])
-        end = 2 * self.table.n_levels - 1 if top else 0
-        keep = idx != end
-        out = np.zeros_like(sel)
-        out[sel] = keep
-        return out
-
-    def _pulse_selected(self, sel: np.ndarray, amplitude: float) -> None:
-        if not sel.any():
-            return
-        pulse = replace(self.table.pulse, amplitude=amplitude)
-        self.x[sel] = integrate_pulse(self.x[sel], pulse, self.params, self.noise)
 
     def train_two_phase(
         self,
@@ -203,43 +184,32 @@ class Crossbar:
         log: list[ProgramEvent] | None = None,
         step: int = 0,
     ) -> None:
-        """One training presentation: potentiation phase on +1-error columns,
-        then depression phase on -1-error columns, with inactive rows held at
-        v_half.  Repeats up to updates_per_pattern times, stopping early once
-        the pattern reads back correctly."""
-        active = pat.input_bits.astype(bool)
-        for _ in range(self.cfg.updates_per_pattern):
-            y = self.infer(pat.input_bits)
-            err = pat.target_bits.astype(np.int8) - y.astype(np.int8)
-            if not err.any():
-                break
-            for phase, col_err, sign, top in (
-                ("potentiate", 1, 1.0, True),
-                ("depress", -1, -1.0, False),
-            ):
-                sel = self._phase_select(active, err == col_err, top)
-                before = self.x[sel] if log is not None else None
-                self._pulse_selected(sel, sign * self.v_program)
-                if log is not None and sel.any():
-                    rows, cols = np.nonzero(sel)
-                    after = self.x[sel]
-                    for r, c, xb, xa in zip(rows, cols, before, after):
-                        log.append(
-                            ProgramEvent(
-                                step=step,
-                                phase=phase,
-                                row=int(r),
-                                col=int(c),
-                                x_before=float(xb),
-                                x_after=float(xa),
-                                meta_before=self.table.state_at(
-                                    int(self.table.decode_index(float(xb)))
-                                ),
-                                meta_after=self.table.state_at(
-                                    int(self.table.decode_index(float(xa)))
-                                ),
-                            )
-                        )
+        """One training presentation through :func:`correct_pattern`:
+        potentiation phase on +1-error columns, then depression phase on
+        -1-error columns, with inactive rows held at v_half."""
+
+        def pulse(direction: UpdateDirection, sel: np.ndarray) -> None:
+            guarded = np.zeros_like(sel)
+            guarded[sel] = self.table.verify(self.x[sel], direction)
+            if not guarded.any():
+                return
+            before = self.x[guarded]
+            after = integrate_pulse(before, self.table.pulse_for(direction), self.params, self.noise)
+            self.x[guarded] = after
+            if log is not None:
+                phase = direction.name.lower()
+                decode, state_at = self.table.decode_index, self.table.state_at
+                log.extend(
+                    ProgramEvent(
+                        step, phase, int(r), int(c), float(xb), float(xa),
+                        state_at(int(ib)), state_at(int(ia)),
+                    )
+                    for r, c, xb, xa, ib, ia in zip(
+                        *np.nonzero(guarded), before, after, decode(before), decode(after)
+                    )
+                )
+
+        correct_pattern(self.cfg, self.mask, self.train_rng, self.infer_batch, pulse, pat)
 
 
 def reference_current_level(
@@ -253,34 +223,17 @@ def reference_current_level(
     A column at the firing margin does not carry high-device current alone:
     the remaining active connected devices conduct at the low plateau and
     every active pruned crosspoint leaks the off conductance.  The reference
-    therefore sits theta-and-a-half conductance gaps above that expected
-    background; the half gap keeps the decision aligned with the strict
-    count > theta rule of the behavioral model.
+    therefore sits floor(theta) + 1/2 conductance gaps above that expected
+    background: count > theta holds exactly when count > floor(theta) + 1/2,
+    so the decision matches the behavioral model's strict rule for any theta.
     """
-    n = table.n_levels
-    g_high = conductance(table.x_for(MetaState(Efficacy.HIGH, 0, n)), params)
-    g_low = conductance(table.x_for(MetaState(Efficacy.LOW, 0, n)), params)
+    g_low, g_high = flip_conductances(table, params)
     n_active = cfg.n_ones_in
     density = cfg.n_connected / (cfg.n_in * cfg.n_out)
     active_connected = n_active * density
     active_pruned = n_active - active_connected
     background = active_connected * g_low + active_pruned * params.g_off
-    return v_read * ((cfg.theta + 0.5) * (g_high - g_low) + background)
-
-
-def calibrate_tracking_kappa(
-    mask: np.ndarray,
-    x: np.ndarray,
-    table: MetastateTable,
-    params: DeviceParams,
-    cfg: NetworkConfig,
-    v_read: float,
-) -> float:
-    """Decision ratio placing the mean tracking reference at the separating
-    current level, measured on the initial column conductances."""
-    col_g = (conductance(x, params) * mask).sum(axis=0)
-    level = reference_current_level(table, params, cfg, v_read)
-    return float(level / (v_read * col_g.mean()))
+    return v_read * ((np.floor(cfg.theta) + 0.5) * (g_high - g_low) + background)
 
 
 def init_crossbar(
@@ -317,19 +270,6 @@ def init_crossbar(
 
     cmp = comparator if comparator is not None else ComparatorConfig()
     return Crossbar(cfg, x, net.mask, params, table, cmp, v_read, noise)
-
-
-def column_currents(xb: Crossbar, input_bits: np.ndarray) -> np.ndarray:
-    return xb.column_currents(input_bits)
-
-
-def infer(xb: Crossbar, input_bits: np.ndarray) -> np.ndarray:
-    return xb.infer(input_bits)
-
-
-def train_two_phase(xb: Crossbar, pat: Pattern) -> Crossbar:
-    xb.train_two_phase(pat)
-    return xb
 
 
 def run_lifetime_hw(

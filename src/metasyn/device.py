@@ -13,20 +13,24 @@ x = 0.5, which makes a depressing pulse retrace a potentiating one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .synapse import Efficacy, MetaState, UpdateDirection, transition
+from .synapse import Efficacy, MetaState, UpdateDirection
 
-# Pulse rate constants frozen by tune_pulse_rate() for the default pulse
-# shape (1.2 V, 15 us, 0.1 us steps) and window (delta=0.5, tau=2.0, p=2).
-# The default profile hits a (high,0)/(low,0) conductance ratio of 4.5;
-# the idealized profile pushes the low plateaus under x = 0.003 so that
-# column currents separate high-efficacy counts exactly.
+# Pulse rate constants (k_off = -k_on) for the default pulse shape (1.2 V,
+# 15 us, 0.1 us steps) and window (tau = 2.0, p = 2).  The default value
+# gives a (high,0)/(low,0) conductance ratio of 4.5; the idealized value
+# puts the low plateaus at x = 0.003 and below, so that column currents
+# separate high-efficacy counts exactly.
 _DEFAULT_K_OFF = 7006346.8122965945
 _IDEAL_K_OFF = 34098014.14676426
+
+# Centre of the boundary window.  Only 0.5 makes the window vanish at both
+# x = 0 and x = 1, and the chain calibration relies on the window being
+# symmetric about it.
+_WINDOW_CENTRE = 0.5
 
 
 class CalibrationError(RuntimeError):
@@ -52,7 +56,6 @@ class DeviceParams:
     alpha_off: float = 3.0
     alpha_on: float = 3.0
     d_thickness: float = 1.0
-    delta: float = 0.5
     tau: float = 2.0
     p_exp: float = 2.0
 
@@ -65,9 +68,10 @@ class DeviceParams:
             raise ValueError("need k_off > 0 > k_on")
         if self.d_thickness <= 0.0:
             raise ValueError("need d_thickness > 0")
-        # window must vanish at both ends of the state range
-        if abs(window(0.0, self)) > 0.0 or abs(window(1.0, self)) > 0.0:
-            raise ValueError("window must be exactly zero at x = 0 and x = 1")
+        # an odd or fractional power breaks the window's symmetry about the
+        # centre, which the chain anchor search relies on
+        if not (self.p_exp > 0.0 and self.p_exp % 2.0 == 0.0):
+            raise ValueError(f"p_exp must be a positive even integer, got {self.p_exp}")
 
     @classmethod
     def default(cls) -> "DeviceParams":
@@ -140,12 +144,12 @@ class NoiseModel:
 
 
 def window(x, params: DeviceParams):
-    """Boundary window (1 - 4(x - delta)^2) / exp(tau (x - delta)^p).
+    """Boundary window (1 - 4(x - 0.5)^2) / exp(tau (x - 0.5)^p).
 
-    With delta = 0.5 the numerator vanishes exactly at x = 0 and x = 1, so
-    a device parked at either end cannot move regardless of drive.
+    The numerator vanishes exactly at x = 0 and x = 1, so a device parked
+    at either end cannot move regardless of drive.
     """
-    shifted = np.asarray(x, dtype=float) - params.delta
+    shifted = np.asarray(x, dtype=float) - _WINDOW_CENTRE
     value = (1.0 - 4.0 * shifted * shifted) * np.exp(-params.tau * shifted**params.p_exp)
     return value if value.ndim else float(value)
 
@@ -206,16 +210,6 @@ def integrate_pulse(
     return float(xa[0]) if scalar else xa
 
 
-def apply_pulse(
-    state: DeviceState,
-    pulse: PulseSpec,
-    params: DeviceParams,
-    noise: NoiseModel | None = None,
-) -> DeviceState:
-    """Single-device wrapper around :func:`integrate_pulse`."""
-    return DeviceState(x=integrate_pulse(state.x, pulse, params, noise))
-
-
 @dataclass(frozen=True)
 class MetastateTable:
     """Calibrated map between chain states and device state plateaus.
@@ -257,6 +251,21 @@ class MetastateTable:
         mids = (self.plateaus[1:] + self.plateaus[:-1]) / 2.0
         idx = np.searchsorted(mids, np.asarray(x, dtype=float), side="left")
         return idx if np.ndim(x) else int(idx)
+
+    def verify(self, x, direction: UpdateDirection):
+        """Read-verify guard for one chain step: True where the decoded state
+        is not already at the chain end the step pushes toward.
+
+        A saturating step must leave the device alone, since the window
+        cannot make the end plateaus both absorbing and one-pulse
+        reversible; the pulse is withheld there instead.
+        """
+        end = 2 * self.n_levels - 1 if direction is UpdateDirection.POTENTIATE else 0
+        return self.decode_index(x) != end
+
+    def pulse_for(self, direction: UpdateDirection) -> PulseSpec:
+        """The calibrated programming pulse with the polarity of direction."""
+        return replace(self.pulse, amplitude=direction.value * abs(self.pulse.amplitude))
 
 
 def decode_metastate(state: DeviceState | float, table: MetastateTable) -> MetaState:
@@ -331,9 +340,7 @@ def calibrate_metastate_table(
         raise CalibrationError("plateaus are not strictly increasing")
     table = MetastateTable(n_levels=n_levels, plateaus=plateaus, pulse=pulse)
     if ratio_bounds is not None:
-        g_high = conductance(table.x_for(MetaState(Efficacy.HIGH, 0, n_levels)), params)
-        g_low = conductance(table.x_for(MetaState(Efficacy.LOW, 0, n_levels)), params)
-        ratio = g_high / g_low
+        ratio = metastate_ratio(table, params)
         if not ratio_bounds[0] <= ratio <= ratio_bounds[1]:
             raise CalibrationError(
                 f"conductance ratio {ratio:.3f} outside {ratio_bounds}"
@@ -341,11 +348,18 @@ def calibrate_metastate_table(
     return table
 
 
+def flip_conductances(table: MetastateTable, params: DeviceParams) -> tuple[float, float]:
+    """Conductances of the (low, 0) and (high, 0) plateaus, the two states an
+    efficacy flip moves between."""
+    n = table.n_levels
+    g_low = conductance(table.x_for(MetaState(Efficacy.LOW, 0, n)), params)
+    g_high = conductance(table.x_for(MetaState(Efficacy.HIGH, 0, n)), params)
+    return g_low, g_high
+
+
 def metastate_ratio(table: MetastateTable, params: DeviceParams) -> float:
     """Conductance ratio between the (high, 0) and (low, 0) plateaus."""
-    n = table.n_levels
-    g_high = conductance(table.x_for(MetaState(Efficacy.HIGH, 0, n)), params)
-    g_low = conductance(table.x_for(MetaState(Efficacy.LOW, 0, n)), params)
+    g_low, g_high = flip_conductances(table, params)
     return float(g_high / g_low)
 
 
@@ -356,65 +370,12 @@ def program_transition(
     table: MetastateTable,
     noise: NoiseModel | None = None,
 ) -> DeviceState:
-    """Program one chain step with a read-verify guard.
+    """Program one chain step on one device, as the crossbar does on many.
 
-    The device is read (decoded) first; when the requested step saturates
-    at a chain end the pulse is withheld, since the window cannot make the
-    end plateaus both absorbing and one-pulse reversible.  Otherwise one
+    The device is read first (:meth:`MetastateTable.verify`); a step that
+    would saturate at a chain end leaves the state untouched.  Otherwise one
     programming pulse of the calibrated shape and polarity is applied.
     """
-    current = decode_metastate(state, table)
-    if transition(current, direction) == current:
+    if not table.verify(state.x, direction):
         return state
-    sign = 1.0 if direction is UpdateDirection.POTENTIATE else -1.0
-    pulse = replace(table.pulse, amplitude=sign * abs(table.pulse.amplitude))
-    return apply_pulse(state, pulse, params, noise)
-
-
-def tune_pulse_rate(
-    params: DeviceParams,
-    n_levels: int = 3,
-    pulse: PulseSpec | None = None,
-    target_ratio: float | None = 4.5,
-    target_low_x: float | None = None,
-    iterations: int = 80,
-) -> DeviceParams:
-    """Find k_off (with k_on = -k_off) meeting a calibration target.
-
-    Either the (high,0)/(low,0) conductance ratio or the x plateau of the
-    (low, 0) state can be targeted; both are monotone in k_off, so a
-    bisection on log k_off converges.  Returns params with the tuned rates.
-    """
-    if (target_ratio is None) == (target_low_x is None):
-        raise ValueError("specify exactly one of target_ratio / target_low_x")
-    if pulse is None:
-        pulse = PulseSpec(amplitude=1.2)
-
-    def objective(log_k: float) -> float:
-        k = math.exp(log_k)
-        trial = replace(params, k_off=k, k_on=-k)
-        try:
-            table = calibrate_metastate_table(trial, n_levels, pulse, ratio_bounds=None)
-        except CalibrationError:
-            # overshoot collapse at large k: past the target for either goal
-            return math.inf
-        if table.plateaus[0] < 1e-12 or 1.0 - table.plateaus[-1] < 1e-12:
-            # chain ends pinned at the float floor: also too strong
-            return math.inf
-        if target_ratio is not None:
-            return metastate_ratio(table, trial) - target_ratio
-        low0 = table.x_for(MetaState(Efficacy.LOW, 0, n_levels))
-        return target_low_x - low0  # low0 decreases as k grows
-
-    lo, hi = math.log(1.0e4), math.log(1.0e9)
-    f_lo, f_hi = objective(lo), objective(hi)
-    if not f_lo < 0.0 < f_hi:
-        raise CalibrationError("tuning target not bracketed by the k range")
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if objective(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    k = math.exp(0.5 * (lo + hi))
-    return replace(params, k_off=k, k_on=-k)
+    return DeviceState(x=integrate_pulse(state.x, table.pulse_for(direction), params, noise))

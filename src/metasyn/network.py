@@ -5,17 +5,19 @@ random mask.  An output fires when the count of active high-efficacy
 synapses strictly exceeds theta = N_in * connectivity * activity / 2, the
 mean drive of the randomly initialised network.  Training presents one
 pattern at a time and applies single-step potentiate/depress events to the
-active-row synapses of columns whose output bit is wrong.
+active-row synapses of columns whose output bit is wrong; the correction
+step that does so is shared with the crossbar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .synapse import UpdateDirection, transition_arrays
+from .synapse import UpdateDirection, gradient_step, stochastic_gate, transition_arrays
 
 
 class Model(str, Enum):
@@ -175,42 +177,44 @@ class BehavioralNetwork:
         votes = inputs.astype(np.float64) @ self.efficacy_matrix()
         return (votes > self.cfg.theta).astype(np.uint8)
 
-    def _event_gate(self, select: np.ndarray) -> np.ndarray | None:
-        if self.cfg.q >= 1.0:
-            return None
-        return self._train_rng.random(select.shape) < self.cfg.q
-
     def train_on_pattern(self, pat: Pattern) -> None:
         """Up to updates_per_pattern correction rounds on one pattern; stops
         as soon as every output bit matches."""
-        cfg = self.cfg
-        active = pat.input_bits.astype(bool)
-        for _ in range(cfg.updates_per_pattern):
-            y = self.forward(pat.input_bits)
-            err = pat.target_bits.astype(np.int8) - y.astype(np.int8)
-            if not err.any():
-                break
-            if cfg.model is Model.GRADIENT:
-                step = cfg.learning_rate * np.outer(pat.input_bits, err.astype(np.float64))
-                self.weights = np.where(
-                    self.mask, np.clip(self.weights + step, 0.0, 1.0), 0.0
-                )
-                continue
-            select_base = self.mask & active[:, np.newaxis]
-            pot = select_base & (err == 1)[np.newaxis, :]
-            dep = select_base & (err == -1)[np.newaxis, :]
-            transition_arrays(
-                self.eff, self.lvl, cfg.effective_levels,
-                UpdateDirection.POTENTIATE, pot, self._event_gate(pot),
-            )
-            transition_arrays(
-                self.eff, self.lvl, cfg.effective_levels,
-                UpdateDirection.DEPRESS, dep, self._event_gate(dep),
-            )
+        correct_pattern(self.cfg, self.mask, self._train_rng, self.forward_batch, self._step, pat)
+
+    def _step(self, direction: UpdateDirection, select: np.ndarray) -> None:
+        if self.cfg.model is Model.GRADIENT:
+            gradient_step(self.weights, direction, select, self.cfg.learning_rate)
+        else:
+            transition_arrays(self.eff, self.lvl, self.cfg.effective_levels, direction, select)
 
 
-def init_network(cfg: NetworkConfig) -> BehavioralNetwork:
-    return BehavioralNetwork.initialize(cfg)
+def correct_pattern(
+    cfg: NetworkConfig,
+    mask: np.ndarray,
+    train_rng: np.random.Generator,
+    read: Callable[[np.ndarray], np.ndarray],
+    step: Callable[[UpdateDirection, np.ndarray], None],
+    pat: Pattern,
+) -> None:
+    """The correction step both network views train with.
+
+    Each of up to updates_per_pattern rounds reads the pattern back through
+    ``read`` (a batch of one row) and stops once every output bit matches.
+    Otherwise it runs the potentiate phase, then the depress phase.  A phase
+    selects the connected synapses on active rows of the columns whose error
+    has its sign, passes them through the q gate drawn from ``train_rng``,
+    and hands the selection to the model's step rule ``step``.
+    """
+    active = mask & pat.input_bits.astype(bool)[:, np.newaxis]
+    target = pat.target_bits.astype(np.int8)
+    for _ in range(cfg.updates_per_pattern):
+        err = target - read(pat.input_bits[np.newaxis, :])[0].astype(np.int8)
+        if not err.any():
+            break
+        for direction in (UpdateDirection.POTENTIATE, UpdateDirection.DEPRESS):
+            select = active & (err == direction.value)[np.newaxis, :]
+            step(direction, stochastic_gate(select, cfg.q, train_rng))
 
 
 def lifetime_loop(net_step, infer_batch, patterns: list[Pattern]) -> AccuracyTrace:

@@ -1,5 +1,6 @@
-"""Discrete synapse models: a metaplastic binary synapse and a clipped
-gradient-descent reference synapse.
+"""Discrete synapse models: a metaplastic binary synapse, the stochastic
+gate on its plasticity events, and the clipped gradient-descent rule of
+the analog reference synapse.
 
 The metaplastic synapse is a serial chain of 2*n_levels states.  Each state
 carries a binary efficacy (low/high) plus a metalevel that counts how deep
@@ -10,7 +11,7 @@ deepest metalevel on each side absorbs further same-direction events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -43,41 +44,12 @@ class MetaState:
             )
 
 
-@dataclass
-class TransitionPolicy:
-    """Transition probability q and the RNG that owns the stochastic gate.
-
-    q = 1 (the default) makes every plasticity event succeed and never
-    touches the RNG, so deterministic callers stay deterministic.
-    """
-
-    q: float = 1.0
-    rng_seed: int = 0
-    _rng: np.random.Generator | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError(f"q must lie in (0, 1], got {self.q}")
-
-    def gate(self) -> bool:
-        """Return True when the plasticity event should be applied."""
-        if self.q >= 1.0:
-            return True
-        if self._rng is None:
-            self._rng = np.random.default_rng(self.rng_seed)
-        return bool(self._rng.random() < self.q)
-
-
 def efficacy_of(state: MetaState) -> int:
     """Binary weight contributed by a metaplastic synapse state."""
     return int(state.efficacy)
 
 
-def transition(
-    state: MetaState,
-    direction: UpdateDirection,
-    policy: TransitionPolicy | None = None,
-) -> MetaState:
+def transition(state: MetaState, direction: UpdateDirection) -> MetaState:
     """Advance one synapse state a single step along the chain.
 
     Potentiation walks toward the high-efficacy end: a low synapse first
@@ -85,9 +57,6 @@ def transition(
     into ever deeper high metalevels.  Depression is the exact mirror.  The
     deepest metalevel saturates instead of wrapping.
     """
-    if policy is not None and not policy.gate():
-        return state
-
     n = state.n_levels
     eff, lvl = state.efficacy, state.metalevel
     if direction is UpdateDirection.POTENTIATE:
@@ -104,55 +73,51 @@ def transition(
         return MetaState(Efficacy.LOW, min(lvl + 1, n - 1), n)
 
 
+def stochastic_gate(
+    select: np.ndarray, q: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Plasticity events that pass the transition-probability gate: each
+    selected event independently succeeds with probability q.
+
+    q = 1 returns ``select`` itself and never touches the RNG, so
+    deterministic callers stay deterministic.
+    """
+    if q >= 1.0:
+        return select
+    return select & (rng.random(select.shape) < q)
+
+
 def transition_arrays(
     eff: np.ndarray,
     lvl: np.ndarray,
     n_levels: int,
     direction: UpdateDirection,
     select: np.ndarray,
-    gate: np.ndarray | None = None,
 ) -> None:
     """Vectorised twin of :func:`transition` acting in place on state arrays.
 
     ``eff`` and ``lvl`` are integer arrays of matching shape; only entries
-    where ``select`` is True are updated.  ``gate`` optionally masks out
-    individual events (the q < 1 stochastic gate, drawn by the caller).
+    where ``select`` is True are updated.
     """
-    sel = select if gate is None else (select & gate)
     if direction is UpdateDirection.POTENTIATE:
         toward, away = eff == 1, eff == 0
     else:
         toward, away = eff == 0, eff == 1
-    climb = sel & away & (lvl > 0)
-    flip = sel & away & (lvl == 0)
-    sink = sel & toward
+    climb = select & away & (lvl > 0)
+    flip = select & away & (lvl == 0)
+    sink = select & toward
     lvl[climb] -= 1
     eff[flip] = 1 if direction is UpdateDirection.POTENTIATE else 0
     np.minimum(lvl + 1, n_levels - 1, out=lvl, where=sink)
 
 
-@dataclass
-class GDSynapse:
-    """Clipped-perceptron reference synapse with an analog weight in [0, 1]."""
-
-    weight: float
-    learning_rate: float = 0.1
-    binarize_threshold: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
-
-    @property
-    def efficacy(self) -> int:
-        return int(self.weight > self.binarize_threshold)
-
-
-def gd_step(syn: GDSynapse, presyn_active: int, error: int) -> GDSynapse:
-    """One clipped gradient step: w += lr * x * e, clamped to [0, 1]."""
-    w = syn.weight + syn.learning_rate * presyn_active * error
-    return GDSynapse(
-        weight=float(min(1.0, max(0.0, w))),
-        learning_rate=syn.learning_rate,
-        binarize_threshold=syn.binarize_threshold,
-    )
+def gradient_step(
+    weights: np.ndarray,
+    direction: UpdateDirection,
+    select: np.ndarray,
+    learning_rate: float,
+) -> None:
+    """One clipped gradient step in place: w += lr * x * e on the selected
+    weights (active input x = 1, output error e = direction), clamped to
+    [0, 1]."""
+    weights[select] = np.clip(weights[select] + direction.value * learning_rate, 0.0, 1.0)

@@ -118,11 +118,11 @@ def test_comparator_config_validation():
 
 
 def test_initial_state_mirrors_behavioral():
-    from metasyn.network import init_network
+    from metasyn.network import BehavioralNetwork
 
     cfg = NetworkConfig(n_in=16, n_out=16, seed=4)
     xb = init_crossbar(cfg, noise=NoiseModel.off())
-    net = init_network(cfg)
+    net = BehavioralNetwork.initialize(cfg)
     assert np.array_equal(xb.mask, net.mask)
     n = xb.table.n_levels
     x_low = xb.table.x_for(MetaState(Efficacy.LOW, 0, n))
@@ -184,8 +184,18 @@ def test_hardware_run_deterministic():
 # ---- reductions -----------------------------------------------------------------------
 
 
-def test_ideal_reduction_equals_behavioral_exactly():
-    cfg = NetworkConfig(n_in=32, n_out=32, seed=5)
+@pytest.mark.parametrize(
+    "n, c, f, q",
+    [
+        (32, 0.25, 0.25, 1.0),
+        (16, 0.25, 0.25, 1.0),  # theta = 0.5
+        (24, 0.25, 0.25, 1.0),  # theta = 0.75
+        (128, 0.1, 0.25, 1.0),  # theta = 1.6
+        (32, 0.25, 0.25, 0.5),  # the q gate, drawn from the same stream
+    ],
+)
+def test_ideal_reduction_equals_behavioral_exactly(n, c, f, q):
+    cfg = NetworkConfig(n_in=n, n_out=n, connectivity=c, activity=f, q=q, seed=5)
     hw = run_lifetime_hw(
         cfg,
         n_patterns=40,

@@ -13,7 +13,6 @@ from metasyn.device import (
     MetastateTable,
     NoiseModel,
     PulseSpec,
-    apply_pulse,
     calibrate_metastate_table,
     conductance,
     decode_metastate,
@@ -299,7 +298,38 @@ def test_device_state_bounds():
 
 
 def test_apply_pulse_wraps_integrate(params, table):
+    # away from the chain ends, programming one device is exactly one
+    # calibrated pulse of the step's polarity
     s = DeviceState(x=float(table.plateaus[2]))
-    out = apply_pulse(s, table.pulse, params)
-    assert isinstance(out, DeviceState)
-    assert out.x == integrate_pulse(s.x, table.pulse, params)
+    for d in (POT, DEP):
+        out = program_transition(s, d, params, table)
+        assert isinstance(out, DeviceState)
+        assert out.x == integrate_pulse(s.x, table.pulse_for(d), params)
+    assert table.pulse_for(POT).amplitude == abs(table.pulse.amplitude)
+    assert table.pulse_for(DEP).amplitude == -abs(table.pulse.amplitude)
+
+
+def test_read_verify_guard_withholds_only_saturating_steps(table):
+    top = len(table.plateaus) - 1
+    assert table.verify(table.plateaus, POT).tolist() == [i != top for i in range(top + 1)]
+    assert table.verify(table.plateaus, DEP).tolist() == [i != 0 for i in range(top + 1)]
+    assert table.verify(float(table.plateaus[top]), POT) is False
+
+
+def test_device_params_validation():
+    with pytest.raises(ValueError):
+        DeviceParams(g_on=1e-7, g_off=1e-5)
+    with pytest.raises(ValueError):
+        DeviceParams(v_on=0.5)
+    with pytest.raises(ValueError):
+        DeviceParams(k_off=-1.0)
+    with pytest.raises(ValueError):
+        DeviceParams(d_thickness=0.0)
+    # the window must stay symmetric about x = 0.5: only even powers
+    for bad in (1.5, 3.0, 0.0, -2.0):
+        with pytest.raises(ValueError, match="p_exp"):
+            DeviceParams(p_exp=bad)
+    assert DeviceParams(p_exp=4.0).p_exp == 4.0
+    # the window centre is fixed, not a parameter
+    with pytest.raises(TypeError):
+        DeviceParams(delta=0.5)

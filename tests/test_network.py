@@ -9,7 +9,6 @@ from metasyn.network import (
     NetworkConfig,
     Pattern,
     generate_patterns,
-    init_network,
     make_pattern_set,
     run_lifetime,
     seed_streams,
@@ -79,25 +78,25 @@ def test_pattern_set_targets_use_output_width():
 
 
 def test_connected_count_exact():
-    net = init_network(NetworkConfig())
+    net = BehavioralNetwork.initialize(NetworkConfig())
     assert int(net.mask.sum()) == 4096
 
 
 def test_initial_metalevels_zero():
-    net = init_network(NetworkConfig(seed=5))
+    net = BehavioralNetwork.initialize(NetworkConfig(seed=5))
     assert np.all(net.lvl[net.mask] == 0)
 
 
 def test_initial_efficacy_balanced_within_3_sigma():
     # Binomial(4096, 1/2): 3 sigma = 96
     for seed in range(5):
-        net = init_network(NetworkConfig(seed=seed))
+        net = BehavioralNetwork.initialize(NetworkConfig(seed=seed))
         highs = int(net.eff[net.mask].sum())
         assert abs(highs - 2048) <= 96
 
 
 def test_unconnected_entries_stay_zero_weight():
-    net = init_network(NetworkConfig(seed=2))
+    net = BehavioralNetwork.initialize(NetworkConfig(seed=2))
     eff = net.efficacy_matrix()
     assert np.all(eff[~net.mask] == 0)
 
@@ -107,7 +106,7 @@ def test_unconnected_entries_stay_zero_weight():
 
 def test_forward_threshold_strict():
     cfg = NetworkConfig()
-    net = init_network(cfg)
+    net = BehavioralNetwork.initialize(cfg)
     # construct a column with exactly 5 active high synapses, another with 4
     net.mask[:] = False
     net.eff[:] = 0
@@ -124,14 +123,14 @@ def test_forward_threshold_strict():
 
 
 def test_all_zero_input_gives_all_zero_output():
-    net = init_network(NetworkConfig(seed=3))
+    net = BehavioralNetwork.initialize(NetworkConfig(seed=3))
     out = net.forward(np.zeros(128, dtype=np.uint8))
     assert np.all(out == 0)
 
 
 def test_forward_matches_brute_force_small():
     cfg = NetworkConfig(n_in=5, n_out=3, connectivity=0.6, activity=0.5, seed=9)
-    net = init_network(cfg)
+    net = BehavioralNetwork.initialize(cfg)
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = (rng.random(5) < 0.5).astype(np.uint8)
@@ -150,7 +149,7 @@ def test_forward_matches_brute_force_small():
 
 def _tiny_net() -> tuple[NetworkConfig, BehavioralNetwork]:
     cfg = NetworkConfig(n_in=8, n_out=4, connectivity=1.0, activity=0.5, seed=1)
-    net = init_network(cfg)
+    net = BehavioralNetwork.initialize(cfg)
     return cfg, net
 
 
@@ -240,13 +239,14 @@ def test_seed_streams_are_stable_and_distinct():
 
 
 def test_q_gate_changes_dynamics_deterministically():
-    cfg1 = NetworkConfig(n_in=32, n_out=32, seed=4, q=0.5)
-    cfg2 = NetworkConfig(n_in=32, n_out=32, seed=4, q=1.0)
-    a = run_lifetime(cfg1, n_patterns=20)
-    b = run_lifetime(cfg1, n_patterns=20)
-    c = run_lifetime(cfg2, n_patterns=20)
-    assert np.array_equal(a.learning, b.learning)
-    assert not np.array_equal(a.learning, c.learning)
+    for model in (Model.MULTISTATE, Model.GRADIENT):
+        cfg1 = NetworkConfig(n_in=32, n_out=32, seed=4, q=0.5, model=model)
+        cfg2 = NetworkConfig(n_in=32, n_out=32, seed=4, q=1.0, model=model)
+        a = run_lifetime(cfg1, n_patterns=20)
+        b = run_lifetime(cfg1, n_patterns=20)
+        c = run_lifetime(cfg2, n_patterns=20)
+        assert np.array_equal(a.learning, b.learning)
+        assert not np.array_equal(a.learning, c.learning)
 
 
 def test_gradient_model_runs():
@@ -261,7 +261,7 @@ def test_gradient_model_runs():
 
 def test_connected_set_fixed_and_unconnected_untouched_by_training():
     cfg = NetworkConfig(n_in=16, n_out=8, connectivity=0.5, activity=0.5, seed=4)
-    net = init_network(cfg)
+    net = BehavioralNetwork.initialize(cfg)
     mask0 = net.mask.copy()
     eff_off = net.eff[~mask0].copy()
     lvl_off = net.lvl[~mask0].copy()
@@ -275,7 +275,7 @@ def test_connected_set_fixed_and_unconnected_untouched_by_training():
 def test_efficacy_flips_only_at_metalevel_zero():
     # instrumented run: every observed flip must come from a depth-0 synapse
     cfg = NetworkConfig(n_in=32, n_out=32, seed=11)
-    net = init_network(cfg)
+    net = BehavioralNetwork.initialize(cfg)
     flips = 0
     for pat in make_pattern_set(cfg, 40):
         eff0, lvl0 = net.eff.copy(), net.lvl.copy()

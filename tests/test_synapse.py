@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metasyn.network import BehavioralNetwork, Model, NetworkConfig
 from metasyn.synapse import (
     Efficacy,
-    GDSynapse,
     MetaState,
-    TransitionPolicy,
     UpdateDirection,
     efficacy_of,
-    gd_step,
+    gradient_step,
+    stochastic_gate,
     transition,
     transition_arrays,
 )
@@ -113,33 +113,39 @@ def test_single_level_chain_is_binary(eff):
 
 
 def test_q_one_never_touches_rng():
-    policy = TransitionPolicy(q=1.0, rng_seed=0)
-    for _ in range(100):
-        assert policy.gate()
-    assert policy._rng is None
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    select = np.ones(100, dtype=bool)
+    assert stochastic_gate(select, 1.0, rng) is select
+    assert rng.bit_generator.state == before
 
 
 def test_gate_rate_matches_q():
     q = 0.3
     trials = 10_000
-    policy = TransitionPolicy(q=q, rng_seed=11)
-    fired = sum(policy.gate() for _ in range(trials))
+    rng = np.random.default_rng(11)
+    fired = int(stochastic_gate(np.ones(trials, dtype=bool), q, rng).sum())
     sigma = np.sqrt(trials * q * (1 - q))
     assert abs(fired - trials * q) <= 3 * sigma
+    # unselected events never pass the gate
+    assert not stochastic_gate(np.zeros(trials, dtype=bool), q, rng).any()
 
 
 def test_gated_transition_leaves_state():
-    # q tiny and a seed whose first draw fails the gate
-    policy = TransitionPolicy(q=1e-12, rng_seed=0)
-    s = S(Efficacy.LOW, 0)
-    assert transition(s, POT, policy) == s
+    # q tiny: the gate drops the event, so the chain step selects nothing
+    eff = np.zeros(1, dtype=np.int8)
+    lvl = np.zeros(1, dtype=np.int8)
+    sel = stochastic_gate(np.ones(1, dtype=bool), 1e-12, np.random.default_rng(0))
+    transition_arrays(eff, lvl, 3, POT, sel)
+    assert (int(eff[0]), int(lvl[0])) == (0, 0)
 
 
 def test_policy_rejects_bad_q():
+    # q lives on the network config, which owns the run's gate stream
     with pytest.raises(ValueError):
-        TransitionPolicy(q=0.0)
+        NetworkConfig(q=0.0)
     with pytest.raises(ValueError):
-        TransitionPolicy(q=1.5)
+        NetworkConfig(q=1.5)
 
 
 # ---- vectorised twin ---------------------------------------------------------
@@ -169,13 +175,17 @@ def test_transition_arrays_matches_scalar(n, count, d, rnd):
 
 
 def test_gd_step_examples():
-    s = GDSynapse(weight=0.5, learning_rate=0.1)
-    assert gd_step(s, 1, 1).weight == pytest.approx(0.6)
-    assert gd_step(s, 0, 1).weight == pytest.approx(0.5)
-    assert gd_step(GDSynapse(weight=0.95, learning_rate=0.1), 1, 1).weight == 1.0
-    assert gd_step(GDSynapse(weight=0.05, learning_rate=0.1), 1, -1).weight == 0.0
+    w = np.array([0.5, 0.5, 0.95, 0.05])
+    gradient_step(w, POT, np.array([True, False, True, False]), 0.1)
+    assert w[0] == pytest.approx(0.6)
+    assert w[1] == 0.5
+    assert w[2] == 1.0
+    gradient_step(w, DEP, np.array([False, False, False, True]), 0.1)
+    assert w[3] == 0.0
 
 
 def test_gd_binarization_strict():
-    assert GDSynapse(weight=0.5).efficacy == 0
-    assert GDSynapse(weight=0.500001).efficacy == 1
+    cfg = NetworkConfig(n_in=2, n_out=1, connectivity=1.0, activity=0.5, model=Model.GRADIENT)
+    net = BehavioralNetwork.initialize(cfg)
+    net.weights[:, 0] = [0.5, 0.500001]
+    assert net.efficacy_matrix()[:, 0].tolist() == [0.0, 1.0]
