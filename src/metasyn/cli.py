@@ -59,10 +59,11 @@ class ConfigError(ValueError):
 class RunConfig:
     """Flat key = value surface of one invocation.
 
-    Mirrors the network configuration, the experiment grids, and the
-    device constants, plus the output directory.  Device overrides apply
-    to the device-level commands (calibrate-device, dump-trace); harness
-    runs use the calibrated default device.
+    Mirrors the network configuration, the experiment grids, the device
+    constants and the programming noise, plus the output directory.  Every
+    command that touches hardware honours the device and noise keys:
+    calibrate-device, dump-trace, and run, compare and the sweeps with
+    hardware = true.
     """
 
     # network
@@ -311,6 +312,9 @@ def to_experiment_spec(
         size_grid=cfg.size_grid,
         c_grid=cfg.c_grid,
         f_grid=cfg.f_grid,
+        params=to_device_params(cfg),
+        sigma=cfg.sigma,
+        noise=cfg.noise,
     )
 
 
@@ -626,10 +630,7 @@ def execute(cmd: str, cfg: RunConfig) -> int:
         seed = cfg.seed + shift
         net_cfg = to_network_config(cfg, seed=seed)
         params = to_device_params(cfg)
-        if cfg.noise:
-            noise = NoiseModel(sigma=cfg.sigma, rng_seed=seed_streams(seed)["noise"])
-        else:
-            noise = NoiseModel.off()
+        noise = NoiseModel(sigma=cfg.sigma, enabled=cfg.noise, rng_seed=seed_streams(seed)["noise"])
         _note(
             f"dump-trace: {cfg.n_in}x{cfg.n_out} hardware run, "
             f"{cfg.n_patterns} pattern(s), seed {seed}"

@@ -13,6 +13,7 @@ x = 0.5, which makes a depressing pulse retrace a potentiating one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,6 +32,15 @@ _IDEAL_K_OFF = 34098014.14676426
 # x = 0 and x = 1, and the chain calibration relies on the window being
 # symmetric about it.
 _WINDOW_CENTRE = 0.5
+
+# Bisection levels the anchor search evaluates per vector pulse train: one
+# train covers all 2**depth - 1 midpoints the next depth steps could visit.
+_TREE_DEPTH = 10
+
+# Programming noise is drawn in blocks of whole integration steps of at most
+# this many bytes: one draw covers a whole pulse on a few hundred devices,
+# while a pulse on many devices never holds its full draw in memory.
+_NOISE_BLOCK_BYTES = 1 << 18
 
 
 class CalibrationError(RuntimeError):
@@ -161,18 +171,23 @@ def conductance(x, params: DeviceParams):
     return value if value.ndim else float(value)
 
 
+def _drive(v, params: DeviceParams):
+    """The voltage factor of dx/dt: k * (v/v_thresh - 1)^alpha summed over
+    both polarities.  Both branch bases are clamped at zero so the inactive
+    branch contributes exactly 0."""
+    va = np.asarray(v, dtype=float)
+    up = params.k_off * np.maximum(va / params.v_off - 1.0, 0.0) ** params.alpha_off
+    down = params.k_on * np.maximum(va / params.v_on - 1.0, 0.0) ** params.alpha_on
+    return up + down
+
+
 def state_derivative(x, v, params: DeviceParams):
     """dx/dt under applied voltage v.
 
     Zero between the thresholds; above v_off (below v_on) the rate scales
-    as k * (v/v_thresh - 1)^alpha times the boundary window.  Both branch
-    bases are clamped at zero so the inactive branch contributes exactly 0.
+    as k * (v/v_thresh - 1)^alpha times the boundary window.
     """
-    xa = np.asarray(x, dtype=float)
-    va = np.asarray(v, dtype=float)
-    up = params.k_off * np.maximum(va / params.v_off - 1.0, 0.0) ** params.alpha_off
-    down = params.k_on * np.maximum(va / params.v_on - 1.0, 0.0) ** params.alpha_on
-    value = (up + down) * window(xa, params) / params.d_thickness
+    value = _drive(v, params) * window(x, params) / params.d_thickness
     return value if value.ndim else float(value)
 
 
@@ -185,10 +200,13 @@ def integrate_pulse(
     """Drive an array (or scalar) of states through one rectangular pulse.
 
     Fixed-step two-stage explicit (Heun) integration with the pulse's dt;
-    a shorter final step covers any remainder.  Each step's increment
-    picks up multiplicative noise when enabled, and the state is clamped
-    to [0, 1] after every step.  Sub-threshold drive gives a derivative of
-    exactly zero in both stages, so the state is left bit-identical.
+    a shorter final step covers any remainder.  The pulse's voltage factor
+    is constant, so it is computed once and each stage only evaluates the
+    window.  Each step's increment picks up multiplicative noise when
+    enabled, drawn step by step from the noise stream in blocks of whole
+    steps, and the state is clamped to [0, 1] after every step.
+    Sub-threshold drive gives a derivative of exactly zero in both stages,
+    so the state is left bit-identical.
     """
     xa = np.asarray(x, dtype=float).copy()
     scalar = xa.ndim == 0
@@ -198,15 +216,26 @@ def integrate_pulse(
     steps = [pulse.dt] * int(round(n_full))
     if remainder > 1e-12 * pulse.dt:
         steps.append(remainder)
+    drive = _drive(pulse.amplitude, params)
+
+    def rate(xs):
+        return drive * window(xs, params) / params.d_thickness
+
     noisy = noise is not None and noise.active
-    rng = noise.rng() if noisy else None
-    for dt in steps:
-        k1 = state_derivative(xa, pulse.amplitude, params)
-        k2 = state_derivative(np.clip(xa + k1 * dt, 0.0, 1.0), pulse.amplitude, params)
-        dx = 0.5 * (k1 + k2) * dt
+    block = max(1, _NOISE_BLOCK_BYTES // max(xa.nbytes, 1)) if noisy else len(steps)
+    for start in range(0, len(steps), block):
+        chunk = steps[start : start + block]
         if noisy:
-            dx = dx * (1.0 + noise.sigma * rng.standard_normal(xa.shape))
-        xa = np.clip(xa + dx, 0.0, 1.0)
+            gains = noise.rng().standard_normal((len(chunk),) + xa.shape)
+            gains *= noise.sigma
+            gains += 1.0
+        for i, dt in enumerate(chunk):
+            k1 = rate(xa)
+            k2 = rate(np.clip(xa + k1 * dt, 0.0, 1.0))
+            dx = 0.5 * (k1 + k2) * dt
+            if noisy:
+                dx = dx * gains[i]
+            xa = np.clip(xa + dx, 0.0, 1.0)
     return float(xa[0]) if scalar else xa
 
 
@@ -273,16 +302,13 @@ def decode_metastate(state: DeviceState | float, table: MetastateTable) -> MetaS
     return table.state_at(table.decode_index(x))
 
 
-def _pulse_train(
-    x0: float, count: int, pulse: PulseSpec, params: DeviceParams
-) -> np.ndarray:
-    """Noise-free plateau sequence: x0 plus the state after each pulse."""
-    out = np.empty(count + 1)
+def _pulse_train(x0: np.ndarray, count: int, pulse: PulseSpec, params: DeviceParams) -> np.ndarray:
+    """Noise-free plateau sequences of many starting states at once: row 0
+    is x0, row i the states after i pulses."""
+    out = np.empty((count + 1,) + x0.shape)
     out[0] = x0
-    x = x0
     for i in range(count):
-        x = integrate_pulse(x, pulse, params, None)
-        out[i + 1] = x
+        out[i + 1] = integrate_pulse(out[i], pulse, params, None)
     return out
 
 
@@ -293,26 +319,59 @@ def _find_anchor(n_levels: int, pulse: PulseSpec, params: DeviceParams) -> float
     yields a chain symmetric about 0.5 and a depressing pulse of equal
     magnitude retraces one potentiating step.  Solved by bisection; the
     mismatch g(x0) = train(x0) - (1 - x0) is increasing in x0.
+
+    Each round evaluates the whole tree of midpoints the next _TREE_DEPTH
+    bisection steps could visit in one vector pulse train, then walks it by
+    the signs.  Every midpoint is the same 0.5 * (lo + hi) of the same
+    bounds, and the pulse kernel is elementwise, so the walk takes the
+    scalar bisection's path and returns its anchor bit for bit.
     """
     span = 2 * n_levels - 1
 
-    def mismatch(x0: float) -> float:
+    def mismatch(x0: np.ndarray) -> np.ndarray:
         return _pulse_train(x0, span, pulse, params)[-1] - (1.0 - x0)
 
     lo, hi = 1.0e-30, 0.5
-    if mismatch(hi) < 0.0:
+    g_hi, g_lo = mismatch(np.array([hi, lo]))
+    if g_hi < 0.0:
         raise CalibrationError("pulse too weak: chain does not span the midpoint")
-    if mismatch(lo) > 0.0:
+    if g_lo > 0.0:
         raise CalibrationError("pulse too strong: chain collapses to the ends")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if mismatch(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    steps = 0
+    while steps < 200:
+        # the tree in heap order: node i's lower half is node 2i + 1 and its
+        # upper half node 2i + 2, so level l starts at node 2**l - 1
+        levels, los, his = [], np.array([lo]), np.array([hi])
+        for _ in range(_TREE_DEPTH):
+            mids = 0.5 * (los + his)
+            levels.append(mids)
+            los = np.stack([los, mids], axis=1).ravel()
+            his = np.stack([mids, his], axis=1).ravel()
+        below = mismatch(np.concatenate(levels)) < 0.0
+        node = 0
+        for _ in range(min(_TREE_DEPTH, 200 - steps)):
+            steps += 1
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return hi
+            if below[node]:
+                lo, node = mid, 2 * node + 2
+            else:
+                hi, node = mid, 2 * node + 1
     return hi
+
+
+@functools.lru_cache(maxsize=128)
+def _calibrated_table(params: DeviceParams, n_levels: int, pulse: PulseSpec) -> MetastateTable:
+    """The plateau table of one device, chain length and pulse, computed
+    once per process.  Its plateaus are read-only because every caller
+    shares them; a failed calibration raises and is not cached."""
+    anchor = _find_anchor(n_levels, pulse, params)
+    plateaus = _pulse_train(np.array(anchor), 2 * n_levels - 1, pulse, params)
+    if not np.all(np.diff(plateaus) > 0.0):
+        raise CalibrationError("plateaus are not strictly increasing")
+    plateaus.flags.writeable = False
+    return MetastateTable(n_levels=n_levels, plateaus=plateaus, pulse=pulse)
 
 
 def calibrate_metastate_table(
@@ -327,6 +386,10 @@ def calibrate_metastate_table(
     the chain adjacency holds for potentiation by construction.  Fails when
     the plateaus are not strictly increasing or when the conductance ratio
     between (high, 0) and (low, 0) leaves ratio_bounds.
+
+    The table is memoized per process on (params, n_levels, pulse): repeat
+    calls return the same table, whose plateaus are shared and read-only.
+    ratio_bounds is checked on every call.
     """
     if n_levels < 1:
         raise CalibrationError(f"n_levels must be >= 1, got {n_levels}")
@@ -334,11 +397,7 @@ def calibrate_metastate_table(
         pulse = PulseSpec(amplitude=1.2)
     if pulse.amplitude <= params.v_off:
         raise CalibrationError("programming amplitude must exceed v_off")
-    anchor = _find_anchor(n_levels, pulse, params)
-    plateaus = _pulse_train(anchor, 2 * n_levels - 1, pulse, params)
-    if not np.all(np.diff(plateaus) > 0.0):
-        raise CalibrationError("plateaus are not strictly increasing")
-    table = MetastateTable(n_levels=n_levels, plateaus=plateaus, pulse=pulse)
+    table = _calibrated_table(params, n_levels, pulse)
     if ratio_bounds is not None:
         ratio = metastate_ratio(table, params)
         if not ratio_bounds[0] <= ratio <= ratio_bounds[1]:

@@ -14,12 +14,14 @@ from enum import Enum
 import numpy as np
 
 from .crossbar import run_lifetime_hw
+from .device import DeviceParams, NoiseModel
 from .network import (
     AccuracyTrace,
     Model,
     NetworkConfig,
     _round_half_up,
     run_lifetime,
+    seed_streams,
 )
 
 
@@ -36,7 +38,9 @@ class ExperimentSpec:
     seeds are applied by replacing base.seed per run; models under
     CompareModels override base.model.  The hardware flag adds crossbar
     runs for the binary and multistate models (gradient descent has no
-    hardware realization).
+    hardware realization).  Hardware runs use the device params and, when
+    noise is on, programming noise of the given sigma on each seed's own
+    noise stream.
     """
 
     base: NetworkConfig = field(default_factory=NetworkConfig)
@@ -49,8 +53,13 @@ class ExperimentSpec:
     size_grid: tuple[int, ...] = (32, 64, 128, 256)
     c_grid: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9)
     f_grid: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9)
+    params: DeviceParams = field(default_factory=DeviceParams)
+    sigma: float = 0.25
+    noise: bool = True
 
     def __post_init__(self) -> None:
+        if self.sigma < 0.0:
+            raise ValueError("sigma must be >= 0")
         if len(self.seeds) < 1:
             raise ValueError("at least one seed is required")
         if self.n_patterns < 1:
@@ -134,10 +143,13 @@ def threshold_crossing(trace: AccuracyTrace, threshold: float) -> int | None:
     return int(below[0]) + 1
 
 
-def _run_one(cfg: NetworkConfig, n_patterns: int, hardware: bool) -> AccuracyTrace:
+def _run_one(spec: ExperimentSpec, cfg: NetworkConfig, hardware: bool) -> AccuracyTrace:
     if hardware:
-        return run_lifetime_hw(cfg, n_patterns=n_patterns)
-    return run_lifetime(cfg, n_patterns=n_patterns)
+        noise = NoiseModel(
+            sigma=spec.sigma, enabled=spec.noise, rng_seed=seed_streams(cfg.seed)["noise"]
+        )
+        return run_lifetime_hw(cfg, n_patterns=spec.n_patterns, params=spec.params, noise=noise)
+    return run_lifetime(cfg, n_patterns=spec.n_patterns)
 
 
 def _collect(
@@ -147,7 +159,7 @@ def _collect(
     """Run one cell over all seeds; returns seed-averaged (learning[-1],
     mean[-1]) and records per-seed traces and crossings under the label."""
     cell_traces = tuple(
-        _run_one(replace(cfg, seed=s), spec.n_patterns, hardware) for s in spec.seeds
+        _run_one(spec, replace(cfg, seed=s), hardware) for s in spec.seeds
     )
     crossings[label] = tuple(
         threshold_crossing(t, spec.mean_threshold) for t in cell_traces

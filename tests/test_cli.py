@@ -205,6 +205,34 @@ def test_dump_trace_events(tmp_path, monkeypatch):
         assert r[6][0] in "LH" and r[7][0] in "LH"
 
 
+
+# At C = f = 0.25 programming noise moves none of the five accuracies of a
+# 16x16 run; at C = f = 0.5 it does.
+HW_TINY = (
+    "n_in = 16\nn_out = 16\nconnectivity = 0.5\nactivity = 0.5\n"
+    "seeds = 0\nn_patterns = 5\nhardware = true\n"
+)
+
+
+def _hw_compare_traces(out, extra: str = "") -> bytes:
+    assert execute("compare", parse_config(HW_TINY + extra + f"out_dir = {out}\n")) == 0
+    return (out / "traces.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["sigma = 0.0\n", "noise = false\n", "k_off = 8.0e6\nk_on = -8.0e6\n"],
+    ids=["sigma", "noise", "k_pair"],
+)
+def test_hardware_compare_honours_device_and_noise_keys(tmp_path, monkeypatch, extra):
+    monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
+    default = _hw_compare_traces(tmp_path / "default")
+    changed = _hw_compare_traces(tmp_path / "changed", extra)
+    assert changed != default
+    # the behavioral rows do not see the device, only the hw_ rows move
+    keep = lambda text: [r for r in text.decode().splitlines() if not r.startswith("hw_")]
+    assert keep(changed) == keep(default)
+
 # ---- entry point ----------------------------------------------------------------------
 
 

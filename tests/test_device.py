@@ -22,6 +22,7 @@ from metasyn.device import (
     state_derivative,
     window,
 )
+from metasyn.device import _find_anchor
 from metasyn.synapse import Efficacy, MetaState, UpdateDirection, transition
 
 POT = UpdateDirection.POTENTIATE
@@ -178,6 +179,121 @@ def test_calibration_ratio_guard(params):
     with pytest.raises(CalibrationError):
         calibrate_metastate_table(params, ratio_bounds=(100.0, 200.0))
 
+
+
+# ---- bit-identity with the scalar references ----------------------------------
+
+
+def _reference_integrate_pulse(x, pulse, params, noise=None):
+    """The Heun kernel as first written: both stages evaluate the full
+    derivative, and noise is drawn one step at a time."""
+
+    def derivative(x):
+        va = np.asarray(pulse.amplitude, dtype=float)
+        up = params.k_off * np.maximum(va / params.v_off - 1.0, 0.0) ** params.alpha_off
+        down = params.k_on * np.maximum(va / params.v_on - 1.0, 0.0) ** params.alpha_on
+        return (up + down) * window(x, params) / params.d_thickness
+
+    xa = np.asarray(x, dtype=float).copy()
+    scalar = xa.ndim == 0
+    if scalar:
+        xa = xa.reshape(1)
+    n_full, remainder = divmod(pulse.duration, pulse.dt)
+    steps = [pulse.dt] * int(round(n_full))
+    if remainder > 1e-12 * pulse.dt:
+        steps.append(remainder)
+    noisy = noise is not None and noise.active
+    rng = noise.rng() if noisy else None
+    for dt in steps:
+        k1 = derivative(xa)
+        k2 = derivative(np.clip(xa + k1 * dt, 0.0, 1.0))
+        dx = 0.5 * (k1 + k2) * dt
+        if noisy:
+            dx = dx * (1.0 + noise.sigma * rng.standard_normal(xa.shape))
+        xa = np.clip(xa + dx, 0.0, 1.0)
+    return float(xa[0]) if scalar else xa
+
+
+def _reference_anchor(n_levels, pulse, params):
+    """The anchor search as first written: one scalar pulse train per
+    bisection step."""
+    span = 2 * n_levels - 1
+
+    def mismatch(x0):
+        x = x0
+        for _ in range(span):
+            x = integrate_pulse(x, pulse, params)
+        return x - (1.0 - x0)
+
+    lo, hi = 1.0e-30, 0.5
+    assert mismatch(hi) >= 0.0 and mismatch(lo) <= 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if mismatch(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("n", [None, 0, 7, 150, 5000], ids=["scalar", "0", "7", "150", "5000"])
+@pytest.mark.parametrize("amplitude", [1.2, -1.2, 0.6])
+@pytest.mark.parametrize("sigma", [0.0, 0.25], ids=["quiet", "noisy"])
+def test_integrate_pulse_matches_reference_kernel(params, n, amplitude, sigma):
+    x = 0.37 if n is None else np.random.default_rng(n).random(n)
+    pulse = PulseSpec(amplitude=amplitude)
+    ours, ref = NoiseModel(sigma=sigma, rng_seed=11), NoiseModel(sigma=sigma, rng_seed=11)
+    out = integrate_pulse(x, pulse, params, ours)
+    expected = _reference_integrate_pulse(x, pulse, params, ref)
+    assert type(out) is type(expected)
+    assert np.array_equal(out, expected)
+    # the noise stream is left where the step-by-step draws leave it
+    assert ours.rng().standard_normal() == ref.rng().standard_normal()
+
+
+@pytest.mark.parametrize("n_levels", [1, 3, 5])
+@pytest.mark.parametrize(
+    "profile", [DeviceParams.default, DeviceParams.idealized], ids=["default", "ideal"]
+)
+def test_tree_anchor_equals_scalar_bisection(profile, n_levels):
+    params, pulse = profile(), PulseSpec(amplitude=1.2)
+    assert _find_anchor(n_levels, pulse, params) == _reference_anchor(n_levels, pulse, params)
+
+
+# ---- calibration memo -----------------------------------------------------------
+
+
+def test_calibration_is_memoized_and_read_only(params, table):
+    assert calibrate_metastate_table(params) is table
+    assert calibrate_metastate_table(params, ratio_bounds=None) is table
+    assert table.plateaus.flags.writeable is False
+    with pytest.raises(ValueError):
+        table.plateaus[0] = 0.5
+    np.testing.assert_allclose(table.plateaus, DEFAULT_PLATEAUS, rtol=1e-12)
+
+
+def test_memo_rechecks_ratio_bounds(params):
+    calibrate_metastate_table(params, ratio_bounds=None)
+    with pytest.raises(CalibrationError, match="ratio"):
+        calibrate_metastate_table(params, ratio_bounds=(5.0, 6.0))
+
+
+def test_memo_keys_on_device_params(params, table):
+    other = calibrate_metastate_table(
+        DeviceParams(k_off=8.0e6, k_on=-8.0e6), ratio_bounds=None
+    )
+    assert other is not table
+    assert not np.array_equal(other.plateaus, table.plateaus)
+
+
+def test_failed_calibration_is_not_cached():
+    # a pulse this strong drives the deep chain's low plateaus together
+    strong = DeviceParams(k_off=1.0e9, k_on=-1.0e9)
+    for _ in range(2):
+        with pytest.raises(CalibrationError, match="strictly increasing"):
+            calibrate_metastate_table(strong, ratio_bounds=None)
 
 # ---- decode --------------------------------------------------------------------
 
