@@ -58,8 +58,6 @@ class ExperimentSpec:
     noise: bool = True
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
         if len(self.seeds) < 1:
             raise ValueError("at least one seed is required")
         if self.n_patterns < 1:
