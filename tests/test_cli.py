@@ -205,7 +205,6 @@ def test_dump_trace_events(tmp_path, monkeypatch):
         assert r[6][0] in "LH" and r[7][0] in "LH"
 
 
-
 # At C = f = 0.25 programming noise moves none of the five accuracies of a
 # 16x16 run; at C = f = 0.5 it does.
 HW_TINY = (
@@ -232,6 +231,7 @@ def test_hardware_compare_honours_device_and_noise_keys(tmp_path, monkeypatch, e
     # the behavioral rows do not see the device, only the hw_ rows move
     keep = lambda text: [r for r in text.decode().splitlines() if not r.startswith("hw_")]
     assert keep(changed) == keep(default)
+
 
 # ---- entry point ----------------------------------------------------------------------
 
