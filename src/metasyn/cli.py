@@ -1,8 +1,9 @@
 """Command-line front end: config parsing, experiment dispatch, CSV/SVG output.
 
 The config format is line-oriented `key = value` text with `#` comments.
-Every key has a default, unknown keys are rejected, and all values are
-range-checked at parse time with errors naming the key and line.  Outputs
+The keys are the fields of the dataclasses a run is built from, with their
+defaults.  Unknown keys are rejected, and all values are range-checked at
+parse time by those dataclasses, with errors naming the key and line.  Outputs
 are pure functions of the config document plus the METASYN_SEED_OFFSET
 environment variable, so reruns produce byte-identical files.
 """
@@ -25,19 +26,17 @@ from .device import (
     CalibrationError,
     DeviceParams,
     MetastateTable,
-    NoiseModel,
     calibrate_metastate_table,
     conductance,
 )
 from .experiments import (
     ExperimentSpec,
     SweepResult,
-    Variant,
     run_comparison,
     sweep_cf,
     sweep_size,
 )
-from .network import Model, NetworkConfig, seed_streams
+from .network import Model, NetworkConfig
 
 SEED_OFFSET_VAR = "METASYN_SEED_OFFSET"
 
@@ -56,169 +55,104 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Flat key = value surface of one invocation.
+class RunConfig(ExperimentSpec):
+    """One invocation: the experiment spec plus the output directory.
 
-    Mirrors the network configuration, the experiment grids, the device
-    constants and the programming noise, plus the output directory.  Every
-    command that touches hardware honours the device and noise keys:
+    Every field of the spec's base NetworkConfig and DeviceParams, and every
+    other spec field, is one config key of the same name.  Every command
+    that touches hardware honours the device and noise keys:
     calibrate-device, dump-trace, and run, compare and the sweeps with
     hardware = true.
     """
 
-    # network
-    n_in: int = 128
-    n_out: int = 128
-    connectivity: float = 0.25
-    activity: float = 0.25
-    n_levels: int = 3
-    model: str = "multistate"
-    seed: int = 0
-    updates_per_pattern: int = 1
-    q: float = 1.0
-    learning_rate: float = 0.1
-    # experiment
-    seeds: tuple[int, ...] = tuple(range(10))
-    n_patterns: int = 100
-    mean_threshold: float = 0.75
-    hardware: bool = False
-    size_grid: tuple[int, ...] = (32, 64, 128, 256)
-    c_grid: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9)
-    f_grid: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9)
-    # device
-    g_on: float = DeviceParams.default().g_on
-    g_off: float = DeviceParams.default().g_off
-    v_off: float = DeviceParams.default().v_off
-    v_on: float = DeviceParams.default().v_on
-    k_off: float = DeviceParams.default().k_off
-    k_on: float = DeviceParams.default().k_on
-    alpha_off: float = DeviceParams.default().alpha_off
-    alpha_on: float = DeviceParams.default().alpha_on
-    d_thickness: float = DeviceParams.default().d_thickness
-    tau: float = DeviceParams.default().tau
-    p_exp: float = DeviceParams.default().p_exp
-    # noise
-    sigma: float = 0.25
-    noise: bool = True
-    # output
     out_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.out_dir:
+            raise ValueError("out_dir must not be empty")
 
 
 # ---- key table ------------------------------------------------------------
 
 
 def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t == "true":
-        return True
-    if t == "false":
-        return False
-    raise ValueError("expected 'true' or 'false'")
+    t = text.lower()
+    if t not in ("true", "false"):
+        raise ValueError("expected 'true' or 'false'")
+    return t == "true"
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(tok.strip()) for tok in text.split(","))
+def _parse_model(text: str) -> Model:
+    try:
+        return Model(text.lower())
+    except ValueError:
+        raise ValueError(f"expected one of {sorted(m.value for m in Model)}") from None
 
 
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(tok.strip()) for tok in text.split(","))
-
-
-def _parse_model(text: str) -> str:
-    t = text.strip().lower()
-    choices = {m.value for m in Model}
-    if t not in choices:
-        raise ValueError(f"expected one of {sorted(choices)}")
-    return t
-
-
-def _chk_pos_int(v: int) -> str | None:
-    return None if v >= 1 else "must be a positive integer"
-
-
-def _chk_seed(v: int) -> str | None:
-    return None if v >= 0 else "must be >= 0"
-
-
-def _chk_unit_open(v: float) -> str | None:
-    return None if 0.0 < v < 1.0 else "must lie in (0, 1)"
-
-
-def _chk_unit_half_open(v: float) -> str | None:
-    return None if 0.0 < v <= 1.0 else "must lie in (0, 1]"
-
-
-def _chk_pos(v: float) -> str | None:
-    return None if v > 0.0 else "must be positive"
-
-
-def _chk_neg(v: float) -> str | None:
-    return None if v < 0.0 else "must be negative"
-
-
-def _chk_nonneg(v: float) -> str | None:
-    return None if v >= 0.0 else "must be >= 0"
-
-
-def _chk_none(v) -> str | None:
-    return None
-
-
-def _chk_each(check: Callable) -> Callable:
-    def run(vals) -> str | None:
-        if len(vals) == 0:
-            return "must not be empty"
-        for v in vals:
-            msg = check(v)
-            if msg is not None:
-                return f"has an entry that {msg}"
-        return None
-
-    return run
-
-
-# key -> (value parser, range check)
-_KEYS: dict[str, tuple[Callable[[str], object], Callable[[object], str | None]]] = {
-    "n_in": (int, _chk_pos_int),
-    "n_out": (int, _chk_pos_int),
-    "connectivity": (float, _chk_unit_half_open),
-    "activity": (float, _chk_unit_open),
-    "n_levels": (int, _chk_pos_int),
-    "model": (_parse_model, _chk_none),
-    "seed": (int, _chk_seed),
-    "updates_per_pattern": (int, _chk_pos_int),
-    "q": (float, _chk_unit_half_open),
-    "learning_rate": (float, _chk_pos),
-    "seeds": (_parse_int_tuple, _chk_each(_chk_seed)),
-    "n_patterns": (int, _chk_pos_int),
-    "mean_threshold": (float, _chk_unit_open),
-    "hardware": (_parse_bool, _chk_none),
-    "size_grid": (_parse_int_tuple, _chk_each(_chk_pos_int)),
-    "c_grid": (_parse_float_tuple, _chk_each(_chk_unit_half_open)),
-    "f_grid": (_parse_float_tuple, _chk_each(_chk_unit_open)),
-    "g_on": (float, _chk_pos),
-    "g_off": (float, _chk_nonneg),
-    "v_off": (float, _chk_pos),
-    "v_on": (float, _chk_neg),
-    "k_off": (float, _chk_pos),
-    "k_on": (float, _chk_neg),
-    "alpha_off": (float, _chk_nonneg),
-    "alpha_on": (float, _chk_nonneg),
-    "d_thickness": (float, _chk_pos),
-    "tau": (float, _chk_nonneg),
-    "p_exp": (float, _chk_pos),
-    "sigma": (float, _chk_nonneg),
-    "noise": (_parse_bool, _chk_none),
-    "out_dir": (str.strip, lambda v: None if v else "must not be empty"),
+# field annotation -> value parser
+_PARSERS: dict[str, Callable[[str], object]] = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "Model": _parse_model,
+    "tuple[int, ...]": lambda text: tuple(int(tok) for tok in text.split(",")),
+    "tuple[float, ...]": lambda text: tuple(float(tok) for tok in text.split(",")),
 }
+
+
+# spec fields whose own fields are keys: field name -> their dataclass
+_NESTED = {"base": NetworkConfig, "params": DeviceParams}
+
+
+def _key_table() -> dict[str, tuple[str | None, str]]:
+    """key -> (the spec field holding it, or None for the spec's own
+    fields; the field annotation its value is parsed by)."""
+    keys: dict[str, tuple[str | None, str]] = {}
+    for f in fields(RunConfig):
+        if f.name in _NESTED:
+            keys.update((g.name, (f.name, g.type)) for g in fields(_NESTED[f.name]))
+        else:
+            keys[f.name] = (None, f.type)
+    return keys
+
+
+_KEYS = _key_table()
+
+
+def _build(cls: type, assigned: dict[str, tuple[int, object]], **fixed):
+    """cls built from the assigned (line, value) pairs over its defaults.
+
+    A rejected value is reported at the latest line whose key, put back to
+    its default, lets the rest pass (the latest assigned line if none does).
+    """
+    values = {key: value for key, (_, value) in assigned.items()}
+
+    def accepts(drop: str) -> bool:
+        try:
+            cls(**fixed, **{k: v for k, v in values.items() if k != drop})
+        except ValueError:
+            return False
+        return True
+
+    try:
+        return cls(**fixed, **values)
+    except ValueError as exc:
+        latest = sorted(assigned, key=lambda k: assigned[k][0], reverse=True)
+        key = next((k for k in latest if accepts(k)), latest[0])
+        raise ConfigError(f"line {assigned[key][0]}: '{key}' rejected: {exc}") from None
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse a config document into a fully-defaulted RunConfig.
 
-    Later assignments to the same key override earlier ones.
+    Later assignments to the same key override earlier ones; the values are
+    range-checked together, by the dataclasses they set.
     """
-    overrides: dict[str, object] = {}
+    assigned: dict[str | None, dict[str, tuple[int, object]]] = {
+        owner: {} for owner, _ in _KEYS.values()
+    }
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -229,23 +163,27 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
-        parser, check = _KEYS[key]
+        owner, annotation = _KEYS[key]
         try:
-            parsed = parser(value.strip())
+            assigned[owner][key] = (lineno, _PARSERS[annotation](value.strip()))
         except ValueError as exc:
             raise ConfigError(
                 f"line {lineno}: invalid value for '{key}': {exc}"
             ) from None
-        msg = check(parsed)
-        if msg is not None:
-            raise ConfigError(f"line {lineno}: '{key}' {msg}")
-        overrides[key] = parsed
-    return replace(RunConfig(), **overrides)
+    nested = {name: _build(cls, assigned[name]) for name, cls in _NESTED.items()}
+    return _build(RunConfig, assigned[None], **nested)
+
+
+def _value(cfg: RunConfig, key: str) -> object:
+    owner, _ = _KEYS[key]
+    return getattr(cfg if owner is None else getattr(cfg, owner), key)
 
 
 def _fmt_value(v: object) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
+    if isinstance(v, Model):
+        return v.value
     if isinstance(v, tuple):
         return ", ".join(_fmt_value(e) for e in v)
     if isinstance(v, float):
@@ -255,67 +193,7 @@ def _fmt_value(v: object) -> str:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Render every key with its current value; parse() inverts it."""
-    lines = [f"{f.name} = {_fmt_value(getattr(cfg, f.name))}" for f in fields(cfg)]
-    return "\n".join(lines) + "\n"
-
-
-# ---- derived objects -------------------------------------------------------
-
-
-def to_network_config(cfg: RunConfig, seed: int | None = None) -> NetworkConfig:
-    return NetworkConfig(
-        n_in=cfg.n_in,
-        n_out=cfg.n_out,
-        connectivity=cfg.connectivity,
-        activity=cfg.activity,
-        n_levels=cfg.n_levels,
-        model=Model(cfg.model),
-        seed=cfg.seed if seed is None else seed,
-        updates_per_pattern=cfg.updates_per_pattern,
-        q=cfg.q,
-        learning_rate=cfg.learning_rate,
-    )
-
-
-def to_device_params(cfg: RunConfig) -> DeviceParams:
-    return DeviceParams(
-        g_on=cfg.g_on,
-        g_off=cfg.g_off,
-        v_off=cfg.v_off,
-        v_on=cfg.v_on,
-        k_off=cfg.k_off,
-        k_on=cfg.k_on,
-        alpha_off=cfg.alpha_off,
-        alpha_on=cfg.alpha_on,
-        d_thickness=cfg.d_thickness,
-        tau=cfg.tau,
-        p_exp=cfg.p_exp,
-    )
-
-
-def to_experiment_spec(
-    cfg: RunConfig,
-    variant: Variant,
-    seed_shift: int = 0,
-    models: tuple[Model, ...] | None = None,
-) -> ExperimentSpec:
-    return ExperimentSpec(
-        base=to_network_config(cfg),
-        variant=variant,
-        seeds=tuple(s + seed_shift for s in cfg.seeds),
-        n_patterns=cfg.n_patterns,
-        mean_threshold=cfg.mean_threshold,
-        hardware=cfg.hardware,
-        models=models
-        if models is not None
-        else (Model.BINARY, Model.MULTISTATE, Model.GRADIENT),
-        size_grid=cfg.size_grid,
-        c_grid=cfg.c_grid,
-        f_grid=cfg.f_grid,
-        params=to_device_params(cfg),
-        sigma=cfg.sigma,
-        noise=cfg.noise,
-    )
+    return "".join(f"{key} = {_fmt_value(_value(cfg, key))}\n" for key in _KEYS)
 
 
 def seed_offset() -> int:
@@ -575,14 +453,41 @@ def execute(cmd: str, cfg: RunConfig) -> int:
     if shift:
         _note(f"applying seed offset {shift} from {SEED_OFFSET_VAR}")
 
-    if cmd in ("run", "compare"):
-        models = (Model(cfg.model),) if cmd == "run" else None
-        spec = to_experiment_spec(cfg, Variant.COMPARE_MODELS, shift, models)
+    if cmd == "calibrate-device":
+        _note(f"calibrating {2 * cfg.base.n_levels}-state chain")
+        table = calibrate_metastate_table(cfg.params, n_levels=cfg.base.n_levels)
+        paths = [out / "metastate_table.csv"]
+        write_metastate_table_csv(paths[0], table, cfg.params)
+        return _emit(paths)
+
+    if cmd == "dump-trace":
+        net_cfg = replace(cfg.base, seed=cfg.base.seed + shift)
         _note(
-            f"{cmd}: {len(spec.models)} model(s) x {len(spec.seeds)} seed(s), "
+            f"dump-trace: {net_cfg.n_in}x{net_cfg.n_out} hardware run, "
+            f"{cfg.n_patterns} pattern(s), seed {net_cfg.seed}"
+        )
+        events: list[ProgramEvent] = []
+        run_lifetime_hw(
+            net_cfg,
+            n_patterns=cfg.n_patterns,
+            params=cfg.params,
+            noise=cfg.noise_for(net_cfg.seed),
+            event_log=events,
+        )
+        paths = [out / "events.csv"]
+        write_events_csv(paths[0], events)
+        _note(f"logged {len(events)} programming event(s)")
+        return _emit(paths)
+
+    spec = replace(cfg, seeds=tuple(s + shift for s in cfg.seeds))
+
+    if cmd in ("run", "compare"):
+        models = (cfg.base.model,) if cmd == "run" else tuple(Model)
+        _note(
+            f"{cmd}: {len(models)} model(s) x {len(spec.seeds)} seed(s), "
             f"hardware={'on' if spec.hardware else 'off'}"
         )
-        result = run_comparison(spec)
+        result = run_comparison(spec, models)
         paths = [out / "traces.csv", out / "summary.csv", out / "accuracy.svg"]
         write_traces_csv(paths[0], result, spec.seeds)
         write_summary_csv(paths[1], result)
@@ -592,7 +497,6 @@ def execute(cmd: str, cfg: RunConfig) -> int:
         return _emit(paths)
 
     if cmd == "sweep-size":
-        spec = to_experiment_spec(cfg, Variant.SWEEP_SIZE, shift)
         _note(f"sweep-size: sizes {spec.size_grid} x {len(spec.seeds)} seed(s)")
         result = sweep_size(spec)
         paths = [out / "size_grid.csv", out / "size_grid.svg"]
@@ -601,7 +505,6 @@ def execute(cmd: str, cfg: RunConfig) -> int:
         return _emit(paths)
 
     if cmd == "sweep-cf":
-        spec = to_experiment_spec(cfg, Variant.SWEEP_CF, shift)
         _note(
             f"sweep-cf: {len(spec.c_grid)}x{len(spec.f_grid)} grid x "
             f"{len(spec.seeds)} seed(s), hardware={'on' if spec.hardware else 'off'}"
@@ -616,36 +519,6 @@ def execute(cmd: str, cfg: RunConfig) -> int:
             result.grid[1],
             "mean accuracy at end of run",
         )
-        return _emit(paths)
-
-    if cmd == "calibrate-device":
-        params = to_device_params(cfg)
-        _note(f"calibrating {2 * cfg.n_levels}-state chain")
-        table = calibrate_metastate_table(params, n_levels=cfg.n_levels)
-        paths = [out / "metastate_table.csv"]
-        write_metastate_table_csv(paths[0], table, params)
-        return _emit(paths)
-
-    if cmd == "dump-trace":
-        seed = cfg.seed + shift
-        net_cfg = to_network_config(cfg, seed=seed)
-        params = to_device_params(cfg)
-        noise = NoiseModel(sigma=cfg.sigma, enabled=cfg.noise, rng_seed=seed_streams(seed)["noise"])
-        _note(
-            f"dump-trace: {cfg.n_in}x{cfg.n_out} hardware run, "
-            f"{cfg.n_patterns} pattern(s), seed {seed}"
-        )
-        events: list[ProgramEvent] = []
-        run_lifetime_hw(
-            net_cfg,
-            n_patterns=cfg.n_patterns,
-            params=params,
-            noise=noise,
-            event_log=events,
-        )
-        paths = [out / "events.csv"]
-        write_events_csv(paths[0], events)
-        _note(f"logged {len(events)} programming event(s)")
         return _emit(paths)
 
     raise ConfigError(f"unknown command '{cmd}'")

@@ -3,13 +3,12 @@
 Inputs drive rows through ideal diodes, so only active rows inject current.
 Every crosspoint holds a device: connected synapses sit on calibrated
 metastate plateaus, pruned ones are parked at x = 0 where they still leak
-the off conductance under read.  Column neurons are current comparators,
-either against a fixed calibrated reference or against a reference that
-tracks the column's own total conductance.  Training runs the behavioral
-network's correction step, whose step rule here is one read-verified
-programming pulse per selected device; unselected rows are held at half
-the programming voltage, which is below the device threshold and
-therefore moves nothing.
+the off conductance under read.  Column neurons are current comparators
+against one fixed reference current, calibrated at construction.  Training
+runs the behavioral network's correction step, whose step rule here is one
+read-verified programming pulse per selected device; unselected rows are
+held at half the programming voltage, which is below the device threshold
+and therefore moves nothing.
 """
 
 from __future__ import annotations
@@ -44,45 +43,25 @@ from .synapse import Efficacy, MetaState, UpdateDirection
 
 class ComparatorMode(str, Enum):
     FIXED_REFERENCE = "fixed_reference"
-    COLUMN_TRACKING = "column_tracking"
 
 
 @dataclass(frozen=True)
 class ComparatorConfig:
     """Decision rule of the column neurons.
 
-    FixedReference holds each column against one calibrated current level;
-    it preserves the analog margin a trained pattern leaves between its
-    column current and the reference, which is what lets the crossbar
-    retain patterns as long as the abstract model does.  ColumnTracking
-    lets the reference follow the column's own conductance instead: the
-    neuron's input resistance moves with the column resistance, scaled by
-    tracking_gain (gain 1 tracks fully, lower gains couple the reference
-    to the column only partially).  A tracking reference rides up with
-    every potentiation stored in its column and thereby consumes stored
-    patterns' margins, so it shortens retention at any gain; it is kept
-    to quantify exactly that cost.
-
-    Leaving kappa / i_ref unset defers to calibration at crossbar init,
-    which places the reference at the current level separating theta from
-    theta + 1 active high-efficacy synapses on the expected background of
-    active low-efficacy devices and pruned leakage.
+    FixedReference, the only mode, holds each column against one current
+    level, calibrated at crossbar init to separate theta from theta + 1
+    active high-efficacy synapses on the expected background of active
+    low-efficacy devices and pruned leakage.  A fixed level preserves the
+    analog margin a trained pattern leaves between its column current and
+    the reference, which is what lets the crossbar retain patterns as long
+    as the abstract model does.
     """
 
     mode: ComparatorMode = ComparatorMode.FIXED_REFERENCE
-    kappa: float | None = None
-    i_ref: float | None = None
-    tracking_gain: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kappa is not None and not 0.0 < self.kappa < 1.0:
-            raise ValueError(f"kappa must lie in (0, 1), got {self.kappa}")
-        if self.i_ref is not None and self.i_ref <= 0.0:
-            raise ValueError(f"i_ref must be positive, got {self.i_ref}")
-        if not 0.0 <= self.tracking_gain <= 1.0:
-            raise ValueError(
-                f"tracking_gain must lie in [0, 1], got {self.tracking_gain}"
-            )
+        ComparatorMode(self.mode)
 
 
 @dataclass(frozen=True)
@@ -128,33 +107,15 @@ class Crossbar:
             raise ValueError("v_read would disturb the devices")
         if not self.v_half < params.v_off:
             raise ValueError("half-select voltage must stay below v_off")
-        # Resolve the reference operating point once, at the initial state.
-        # Calibrated values live on the instance, not the config: at extreme
-        # connectivity/activity corners the calibrated ratio can exceed the
-        # usual (0, 1) range, which simply marks a column whose conductance
-        # cannot reach the discrimination level.
-        level = reference_current_level(table, params, cfg, v_read)
-        if comparator.mode is ComparatorMode.FIXED_REFERENCE:
-            self.i_ref = comparator.i_ref if comparator.i_ref is not None else level
-            self.kappa = None
-            self.tracking_base = None
-        else:
-            base = float(self.connected_column_conductance().mean())
-            self.tracking_base = base
-            self.kappa = (
-                comparator.kappa
-                if comparator.kappa is not None
-                else level / (v_read * base)
-            )
-            self.i_ref = None
+        # The reference operating point is resolved once, at the initial
+        # state; at extreme connectivity/activity corners it may lie beyond
+        # any current a column can reach.
+        self.i_ref = reference_current_level(table, params, cfg, v_read)
 
     # ---- read path -----------------------------------------------------
 
     def conductance_matrix(self) -> np.ndarray:
         return conductance(self.x, self.params)
-
-    def connected_column_conductance(self) -> np.ndarray:
-        return (self.conductance_matrix() * self.mask).sum(axis=0)
 
     def column_currents(self, input_bits: np.ndarray) -> np.ndarray:
         """I_j = v_read * sum of G over active rows; inactive rows are
@@ -165,12 +126,8 @@ class Crossbar:
         return self.v_read * (inputs.astype(np.float64) @ self.conductance_matrix())
 
     def references(self) -> np.ndarray:
-        """Per-column comparator reference currents at the present state."""
-        if self.comparator.mode is ComparatorMode.FIXED_REFERENCE:
-            return np.full(self.cfg.n_out, self.i_ref)
-        gamma = self.comparator.tracking_gain
-        tracked = (1.0 - gamma) * self.tracking_base + gamma * self.connected_column_conductance()
-        return self.kappa * self.v_read * tracked
+        """Per-column comparator reference currents."""
+        return np.full(self.cfg.n_out, self.i_ref)
 
     def infer_batch(self, inputs: np.ndarray) -> np.ndarray:
         currents = self.column_currents_batch(inputs)

@@ -76,8 +76,10 @@ class DeviceParams:
             raise ValueError("need v_on < 0 < v_off")
         if not (self.k_off > 0.0 > self.k_on):
             raise ValueError("need k_off > 0 > k_on")
-        if self.d_thickness <= 0.0:
+        if not self.d_thickness > 0.0:
             raise ValueError("need d_thickness > 0")
+        if not (self.alpha_off >= 0.0 and self.alpha_on >= 0.0 and self.tau >= 0.0):
+            raise ValueError("need alpha_off, alpha_on and tau >= 0")
         # an odd or fractional power breaks the window's symmetry about the
         # centre, which the chain anchor search relies on
         if not (self.p_exp > 0.0 and self.p_exp % 2.0 == 0.0):
@@ -370,6 +372,9 @@ def _calibrated_table(params: DeviceParams, n_levels: int, pulse: PulseSpec) -> 
     plateaus = _pulse_train(np.array(anchor), 2 * n_levels - 1, pulse, params)
     if not np.all(np.diff(plateaus) > 0.0):
         raise CalibrationError("plateaus are not strictly increasing")
+    # the window vanishes on the rails, so no pulse could move a device there
+    if not (0.0 < plateaus[0] and plateaus[-1] < 1.0):
+        raise CalibrationError("a plateau lies on a rail of the state range")
     plateaus.flags.writeable = False
     return MetastateTable(n_levels=n_levels, plateaus=plateaus, pulse=pulse)
 
@@ -384,8 +389,9 @@ def calibrate_metastate_table(
 
     Starting at the bottom anchor, each pulse lands on the next plateau, so
     the chain adjacency holds for potentiation by construction.  Fails when
-    the plateaus are not strictly increasing or when the conductance ratio
-    between (high, 0) and (low, 0) leaves ratio_bounds.
+    the plateaus are not strictly increasing, when one lies on a rail
+    (x = 0 or 1), or when the conductance ratio between (high, 0) and
+    (low, 0) leaves ratio_bounds.
 
     The table is memoized per process on (params, n_levels, pulse): repeat
     calls return the same table, whose plateaus are shared and read-only.

@@ -1,15 +1,15 @@
 """Multi-seed experiment orchestration.
 
-Three experiment variants cover the standard evaluation set: side-by-side
-model comparisons, network-size sweeps, and connectivity/activity sweeps,
-each run over a list of seeds with crossing statistics computed per seed
-and then aggregated.
+One runner takes a list of (label, network config, hardware) cells and runs
+each over the experiment's seeds, with crossing statistics computed per
+seed and then aggregated.  The standard evaluation set only builds cell
+lists: side-by-side model comparisons, network-size sweeps, and
+connectivity/activity sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 
@@ -25,31 +25,31 @@ from .network import (
 )
 
 
-class Variant(str, Enum):
-    COMPARE_MODELS = "compare_models"
-    SWEEP_SIZE = "sweep_size"
-    SWEEP_CF = "sweep_cf"
+# entry-wise range of each grid: (description, check); NaN fails every check
+_GRID_RANGES = {
+    "seeds": (">= 0", lambda v: v >= 0),
+    "size_grid": (">= 1", lambda v: v >= 1),
+    "c_grid": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "f_grid": ("in (0, 1)", lambda v: 0.0 < v < 1.0),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: a base configuration, a variant, and its grids.
+    """One experiment: a base configuration, its seeds, grids and device.
 
-    seeds are applied by replacing base.seed per run; models under
-    CompareModels override base.model.  The hardware flag adds crossbar
-    runs for the binary and multistate models (gradient descent has no
-    hardware realization).  Hardware runs use the device params and, when
-    noise is on, programming noise of the given sigma on each seed's own
-    noise stream.
+    seeds are applied by replacing base.seed per run.  The hardware flag
+    runs cells on the crossbar; a comparison adds crossbar runs for the
+    binary and multistate models next to the behavioral ones.  Hardware
+    runs use the device params and, when noise is on, programming noise of
+    the given sigma on each seed's own noise stream.
     """
 
     base: NetworkConfig = field(default_factory=NetworkConfig)
-    variant: Variant = Variant.COMPARE_MODELS
     seeds: tuple[int, ...] = tuple(range(10))
     n_patterns: int = 100
     mean_threshold: float = 0.75
     hardware: bool = False
-    models: tuple[Model, ...] = (Model.BINARY, Model.MULTISTATE, Model.GRADIENT)
     size_grid: tuple[int, ...] = (32, 64, 128, 256)
     c_grid: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9)
     f_grid: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -58,20 +58,25 @@ class ExperimentSpec:
     noise: bool = True
 
     def __post_init__(self) -> None:
-        if len(self.seeds) < 1:
-            raise ValueError("at least one seed is required")
+        for name, (bound, ok) in _GRID_RANGES.items():
+            values = getattr(self, name)
+            if len(values) < 1:
+                raise ValueError(f"{name} must not be empty")
+            for v in values:
+                if not ok(v):
+                    raise ValueError(f"{name} entries must be {bound}, got {v}")
         if self.n_patterns < 1:
             raise ValueError("n_patterns must be >= 1")
         if not 0.0 < self.mean_threshold < 1.0:
             raise ValueError("mean_threshold must lie in (0, 1)")
-        if self.variant is Variant.COMPARE_MODELS and len(self.models) < 1:
-            raise ValueError("CompareModels needs at least one model")
-        if self.variant is Variant.SWEEP_SIZE and len(self.size_grid) < 1:
-            raise ValueError("SweepSize needs a non-empty size grid")
-        if self.variant is Variant.SWEEP_CF and (
-            len(self.c_grid) < 1 or len(self.f_grid) < 1
-        ):
-            raise ValueError("SweepCF needs non-empty C and f grids")
+        if not self.sigma >= 0.0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+
+    def noise_for(self, seed: int) -> NoiseModel:
+        """Programming noise of one hardware run, on the seed's own stream."""
+        return NoiseModel(
+            sigma=self.sigma, enabled=self.noise, rng_seed=seed_streams(seed)["noise"]
+        )
 
 
 @dataclass(frozen=True)
@@ -143,10 +148,9 @@ def threshold_crossing(trace: AccuracyTrace, threshold: float) -> int | None:
 
 def _run_one(spec: ExperimentSpec, cfg: NetworkConfig, hardware: bool) -> AccuracyTrace:
     if hardware:
-        noise = NoiseModel(
-            sigma=spec.sigma, enabled=spec.noise, rng_seed=seed_streams(cfg.seed)["noise"]
+        return run_lifetime_hw(
+            cfg, n_patterns=spec.n_patterns, params=spec.params, noise=spec.noise_for(cfg.seed)
         )
-        return run_lifetime_hw(cfg, n_patterns=spec.n_patterns, params=spec.params, noise=noise)
     return run_lifetime(cfg, n_patterns=spec.n_patterns)
 
 
@@ -168,65 +172,64 @@ def _collect(
     return learn, mean
 
 
-def run_comparison(spec: ExperimentSpec) -> SweepResult:
+Cell = tuple[str, NetworkConfig, bool]
+
+
+def run_cells(
+    spec: ExperimentSpec,
+    cells: list[Cell],
+    axes: tuple[str, ...],
+    grid: tuple[tuple, ...],
+    valid: np.ndarray | None = None,
+) -> SweepResult:
+    """Run each (label, config, hardware) cell over spec.seeds.
+
+    The cells fill the grid's valid entries in row-major order (every entry
+    when valid is None); the others hold NaN.
+    """
+    shape = tuple(len(g) for g in grid)
+    valid = np.ones(shape, dtype=bool) if valid is None else valid
+    learn_cells, mean_cells = np.full(shape, np.nan), np.full(shape, np.nan)
+    crossings: dict[str, tuple[int | None, ...]] = {}
+    traces: dict[str, tuple[AccuracyTrace, ...]] = {}
+    ends = [_collect(spec, label, cfg, hw, crossings, traces) for label, cfg, hw in cells]
+    if ends:
+        learn_cells[valid], mean_cells[valid] = np.array(ends).T
+    return SweepResult(
+        axes=axes, grid=grid,
+        mean_at_end=mean_cells, learning_at_end=learn_cells, valid=valid,
+        crossings=crossings, traces=traces, n_patterns=spec.n_patterns,
+    )
+
+
+def run_comparison(spec: ExperimentSpec, models: tuple[Model, ...] = tuple(Model)) -> SweepResult:
     """Run every requested model (plus hardware variants when flagged)
     over all seeds and compute crossing statistics and the multistate
     over binary crossing ratio."""
-    if spec.variant is not Variant.COMPARE_MODELS:
-        raise ValueError("spec variant must be CompareModels")
-    jobs: list[tuple[str, Model, bool]] = [(m.value, m, False) for m in spec.models]
+    if len(models) < 1:
+        raise ValueError("at least one model is required")
+    cells = [(m.value, replace(spec.base, model=m), False) for m in models]
     if spec.hardware:
-        jobs += [
-            (f"hw_{m.value}", m, True)
-            for m in spec.models
-            if m is not Model.GRADIENT
+        cells += [
+            (f"hw_{label}", cfg, True)
+            for label, cfg, _ in cells
+            if cfg.model is not Model.GRADIENT
         ]
-    crossings: dict[str, tuple[int | None, ...]] = {}
-    traces: dict[str, tuple[AccuracyTrace, ...]] = {}
-    labels = []
-    learn_cells, mean_cells = [], []
-    for label, model, hw in jobs:
-        cfg = replace(spec.base, model=model)
-        learn, mean = _collect(spec, label, cfg, hw, crossings, traces)
-        labels.append(label)
-        learn_cells.append(learn)
-        mean_cells.append(mean)
-    ratio = None
-    if Model.BINARY in spec.models and Model.MULTISTATE in spec.models:
-        multi = _censor(crossings["multistate"], spec.n_patterns).mean()
-        binary = _censor(crossings["binary"], spec.n_patterns).mean()
-        ratio = float(multi / binary)
-    return SweepResult(
-        axes=("model",), grid=(tuple(labels),),
-        mean_at_end=np.array(mean_cells),
-        learning_at_end=np.array(learn_cells),
-        valid=np.ones(len(labels), dtype=bool),
-        crossings=crossings, traces=traces, n_patterns=spec.n_patterns,
-        ratio_vs_binary=ratio,
-    )
+    result = run_cells(spec, cells, ("model",), (tuple(c[0] for c in cells),))
+    if Model.BINARY not in models or Model.MULTISTATE not in models:
+        return result
+    multi = _censor(result.crossings["multistate"], spec.n_patterns).mean()
+    binary = _censor(result.crossings["binary"], spec.n_patterns).mean()
+    return replace(result, ratio_vs_binary=float(multi / binary))
 
 
 def sweep_size(spec: ExperimentSpec) -> SweepResult:
     """Run the base model on square N x N networks across the size grid."""
-    if spec.variant is not Variant.SWEEP_SIZE:
-        raise ValueError("spec variant must be SweepSize")
-    if spec.hardware and spec.base.model is Model.GRADIENT:
-        raise ValueError("the gradient model has no crossbar realization")
-    crossings: dict[str, tuple[int | None, ...]] = {}
-    traces: dict[str, tuple[AccuracyTrace, ...]] = {}
-    learn_cells, mean_cells = [], []
-    for n in spec.size_grid:
-        cfg = replace(spec.base, n_in=n, n_out=n)
-        learn, mean = _collect(spec, str(n), cfg, spec.hardware, crossings, traces)
-        learn_cells.append(learn)
-        mean_cells.append(mean)
-    return SweepResult(
-        axes=("size",), grid=(tuple(spec.size_grid),),
-        mean_at_end=np.array(mean_cells),
-        learning_at_end=np.array(learn_cells),
-        valid=np.ones(len(spec.size_grid), dtype=bool),
-        crossings=crossings, traces=traces, n_patterns=spec.n_patterns,
-    )
+    cells = [
+        (str(n), replace(spec.base, n_in=n, n_out=n), spec.hardware)
+        for n in spec.size_grid
+    ]
+    return run_cells(spec, cells, ("size",), (tuple(spec.size_grid),))
 
 
 def _cf_cell_valid(cfg: NetworkConfig, c: float, f: float) -> bool:
@@ -240,41 +243,16 @@ def _cf_cell_valid(cfg: NetworkConfig, c: float, f: float) -> bool:
 
 
 def sweep_cf(spec: ExperimentSpec) -> SweepResult:
-    """Grid of end-of-run accuracies over (connectivity, activity)."""
-    if spec.variant is not Variant.SWEEP_CF:
-        raise ValueError("spec variant must be SweepCF")
-    if spec.hardware and spec.base.model is Model.GRADIENT:
-        raise ValueError("the gradient model has no crossbar realization")
-    shape = (len(spec.c_grid), len(spec.f_grid))
-    learn_cells = np.full(shape, np.nan)
-    mean_cells = np.full(shape, np.nan)
-    valid = np.zeros(shape, dtype=bool)
-    crossings: dict[str, tuple[int | None, ...]] = {}
-    traces: dict[str, tuple[AccuracyTrace, ...]] = {}
-    for i, c in enumerate(spec.c_grid):
-        for j, f in enumerate(spec.f_grid):
-            if not _cf_cell_valid(spec.base, c, f):
-                continue
-            cfg = replace(spec.base, connectivity=c, activity=f)
-            label = f"C{c:g}_f{f:g}"
-            learn, mean = _collect(spec, label, cfg, spec.hardware, crossings, traces)
-            learn_cells[i, j] = learn
-            mean_cells[i, j] = mean
-            valid[i, j] = True
-    return SweepResult(
-        axes=("connectivity", "activity"),
-        grid=(tuple(spec.c_grid), tuple(spec.f_grid)),
-        mean_at_end=mean_cells,
-        learning_at_end=learn_cells,
-        valid=valid,
-        crossings=crossings, traces=traces, n_patterns=spec.n_patterns,
+    """Grid of end-of-run accuracies over (connectivity, activity); cells
+    that round to no active bit or no synapse stay NaN and invalid."""
+    grid = (tuple(spec.c_grid), tuple(spec.f_grid))
+    points = [(c, f) for c in spec.c_grid for f in spec.f_grid]
+    valid = np.array([_cf_cell_valid(spec.base, c, f) for c, f in points])
+    cells = [
+        (f"C{c:g}_f{f:g}", replace(spec.base, connectivity=c, activity=f), spec.hardware)
+        for (c, f), ok in zip(points, valid)
+        if ok
+    ]
+    return run_cells(
+        spec, cells, ("connectivity", "activity"), grid, valid.reshape(len(grid[0]), -1)
     )
-
-
-def run_experiment(spec: ExperimentSpec) -> SweepResult:
-    """Dispatch on the spec's variant."""
-    if spec.variant is Variant.COMPARE_MODELS:
-        return run_comparison(spec)
-    if spec.variant is Variant.SWEEP_SIZE:
-        return sweep_size(spec)
-    return sweep_cf(spec)

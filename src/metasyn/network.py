@@ -56,6 +56,10 @@ class NetworkConfig:
             raise ValueError("updates_per_pattern must be >= 1")
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.learning_rate > 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.n_ones_in < 1:
             raise ValueError("activity too low: patterns would have no active bits")
         if self.n_connected < 1:

@@ -2,10 +2,15 @@
 deterministic reruns, and the seed-offset environment knob."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from metasyn import cli, experiments
+from metasyn.device import DeviceParams
+from metasyn.experiments import ExperimentSpec
+from metasyn.network import AccuracyTrace, Model, NetworkConfig
 from metasyn.cli import (
     ConfigError,
     RunConfig,
@@ -33,13 +38,13 @@ f_grid = 0.25, 0.5
 def test_empty_config_gives_defaults():
     cfg = parse_config("")
     assert cfg == RunConfig()
-    assert cfg.n_in == 128 and cfg.connectivity == 0.25
+    assert cfg.base.n_in == 128 and cfg.base.connectivity == 0.25
     assert cfg.seeds == tuple(range(10))
 
 
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("# heading\n\nn_in = 64  # trailing note\n")
-    assert cfg.n_in == 64
+    assert cfg.base.n_in == 64
 
 
 def test_round_trip_every_field():
@@ -73,13 +78,177 @@ def test_malformed_value_reports_key():
 
 
 def test_model_choices_checked():
-    assert parse_config("model = gradient").model == "gradient"
+    assert parse_config("model = gradient").base.model == "gradient"
     with pytest.raises(ConfigError, match="model"):
         parse_config("model = quantum")
 
 
 def test_last_assignment_wins():
-    assert parse_config("n_in = 4\nn_in = 32\n").n_in == 32
+    assert parse_config("n_in = 4\nn_in = 32\n").base.n_in == 32
+
+
+# The accepted keys, in serialization order.
+KEYS = [
+    "n_in", "n_out", "connectivity", "activity", "n_levels", "model", "seed",
+    "updates_per_pattern", "q", "learning_rate",
+    "seeds", "n_patterns", "mean_threshold", "hardware", "size_grid", "c_grid",
+    "f_grid",
+    "g_on", "g_off", "v_off", "v_on", "k_off", "k_on", "alpha_off", "alpha_on",
+    "d_thickness", "tau", "p_exp",
+    "sigma", "noise",
+    "out_dir",
+]
+
+# one out-of-range or malformed value per key
+BAD = {
+    "n_in": "0", "n_out": "0", "connectivity": "1.5", "activity": "1.0",
+    "n_levels": "0", "model": "quantum", "seed": "-1", "updates_per_pattern": "0",
+    "q": "0.0", "learning_rate": "-0.1",
+    "seeds": "0, -1", "n_patterns": "0", "mean_threshold": "1.0", "hardware": "yes",
+    "size_grid": "16, 0", "c_grid": "1.5", "f_grid": "0.0",
+    "g_on": "1e-8", "g_off": "-1e-9", "v_off": "-0.5", "v_on": "0.5",
+    "k_off": "-1.0", "k_on": "1.0", "alpha_off": "-1.0", "alpha_on": "-1.0",
+    "d_thickness": "0.0", "tau": "-1.0", "p_exp": "3.0",
+    "sigma": "-0.1", "noise": "maybe",
+    "out_dir": "",
+}
+
+
+def test_key_set_is_pinned():
+    keys = [line.split(" = ")[0] for line in serialize_config(RunConfig()).splitlines()]
+    assert keys == KEYS and len(KEYS) == 31
+    assert sorted(BAD) == sorted(KEYS)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_every_key_range_checked(key):
+    with pytest.raises(ConfigError, match=rf"^line 2: .*'{key}'"):
+        parse_config(f"n_in = 32\n{key} = {BAD[key]}\n")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: NetworkConfig(learning_rate=-0.1),
+        lambda: NetworkConfig(seed=-1),
+        lambda: DeviceParams(alpha_off=-1.0),
+        lambda: DeviceParams(tau=-1.0),
+        lambda: ExperimentSpec(c_grid=(1.5,)),
+    ],
+    ids=["learning_rate", "seed", "alpha_off", "tau", "c_grid"],
+)
+def test_library_rejects_what_the_cli_rejects(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("doc", ["g_on = 5e-8\ng_off = 1e-8\n", "g_off = 1e-8\ng_on = 5e-8\n"])
+def test_cross_field_values_checked_together(doc):
+    params = parse_config(doc).params
+    assert (params.g_on, params.g_off) == (5e-8, 1e-8)
+
+
+def test_cross_field_error_names_the_key():
+    # g_on below the default g_off: rejected at parse time, not at run time
+    with pytest.raises(ConfigError, match=r"^line 1: 'g_on'"):
+        parse_config("g_on = 1e-8\n")
+
+
+def test_rejected_value_blames_the_key_that_breaks_it():
+    # the joint g_on/g_off pair is valid; only tau is out of range
+    with pytest.raises(ConfigError, match=r"^line 1: 'tau'"):
+        parse_config("tau = -1.0\ng_on = 5e-8\ng_off = 1e-8\n")
+
+
+# ---- every key reaches the run --------------------------------------------------------
+
+# every network, device and noise key away from its default
+EVERY_KEY = """
+n_in = 24
+n_out = 20
+connectivity = 0.3
+activity = 0.35
+n_levels = 2
+model = binary
+seed = 4
+updates_per_pattern = 2
+q = 0.9
+learning_rate = 0.2
+seeds = 3, 5
+n_patterns = 6
+hardware = true
+size_grid = 12, 16
+c_grid = 0.3, 0.6
+f_grid = 0.35
+g_on = 2e-05
+g_off = 2e-07
+v_off = 0.9
+v_on = -0.8
+k_off = 8000000.0
+k_on = -9000000.0
+alpha_off = 2.0
+alpha_on = 4.0
+d_thickness = 1.5
+tau = 1.5
+p_exp = 4.0
+sigma = 0.1
+noise = false
+"""
+EVERY_BASE = NetworkConfig(
+    n_in=24, n_out=20, connectivity=0.3, activity=0.35, n_levels=2,
+    model=Model.BINARY, seed=4, updates_per_pattern=2, q=0.9, learning_rate=0.2,
+)
+EVERY_PARAMS = DeviceParams(
+    g_on=2e-05, g_off=2e-07, v_off=0.9, v_on=-0.8, k_off=8.0e6, k_on=-9.0e6,
+    alpha_off=2.0, alpha_on=4.0, d_thickness=1.5, tau=1.5, p_exp=4.0,
+)
+
+# command -> (the config fields its cells set, the (kind, values) of every call)
+EXPECTED_CALLS = {
+    "compare": (
+        ("model", "seed"),
+        [("sw", (m, s)) for m in Model for s in (3, 5)]
+        + [("hw", (m, s)) for m in (Model.BINARY, Model.MULTISTATE) for s in (3, 5)],
+    ),
+    "sweep-size": (
+        ("n_in", "n_out", "seed"),
+        [("hw", (n, n, s)) for n in (12, 16) for s in (3, 5)],
+    ),
+    "sweep-cf": (
+        ("connectivity", "activity", "seed"),
+        [("hw", (c, 0.35, s)) for c in (0.3, 0.6) for s in (3, 5)],
+    ),
+    "dump-trace": (("seed",), [("hw", (4,))]),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(EXPECTED_CALLS))
+def test_every_key_reaches_the_run(tmp_path, monkeypatch, cmd):
+    monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
+    calls = []
+
+    def recorder(kind):
+        def run(cfg, n_patterns=100, **kwargs):
+            calls.append((kind, cfg, n_patterns, kwargs))
+            ones = np.ones(n_patterns)
+            return AccuracyTrace(learning=ones, mean=ones)
+
+        return run
+
+    monkeypatch.setattr(experiments, "run_lifetime", recorder("sw"))
+    monkeypatch.setattr(experiments, "run_lifetime_hw", recorder("hw"))
+    monkeypatch.setattr(cli, "run_lifetime_hw", recorder("hw"))
+    assert execute(cmd, parse_config(EVERY_KEY + f"out_dir = {tmp_path}\n")) == 0
+
+    varied, expected = EXPECTED_CALLS[cmd]
+    got = [(kind, tuple(getattr(cfg, k) for k in varied)) for kind, cfg, _, _ in calls]
+    assert got == expected
+    for kind, cfg, n_patterns, kwargs in calls:
+        assert replace(cfg, **{k: getattr(EVERY_BASE, k) for k in varied}) == EVERY_BASE
+        assert n_patterns == 6
+        if kind == "hw":
+            assert kwargs["params"] == EVERY_PARAMS
+            assert (kwargs["noise"].sigma, kwargs["noise"].enabled) == (0.1, False)
 
 
 # ---- seed offset ------------------------------------------------------------------

@@ -295,6 +295,16 @@ def test_failed_calibration_is_not_cached():
         with pytest.raises(CalibrationError, match="strictly increasing"):
             calibrate_metastate_table(strong, ratio_bounds=None)
 
+@pytest.mark.parametrize("k", [1.0e9, 1.0e12])
+def test_plateau_on_a_rail_is_rejected(k):
+    # one level at this strength ends the chain at x = 1.0, where the window
+    # is exactly 0 and no depressing pulse could move the device
+    with pytest.raises(CalibrationError, match="rail"):
+        calibrate_metastate_table(
+            DeviceParams(k_off=k, k_on=-k), n_levels=1, ratio_bounds=None
+        )
+
+
 # ---- decode --------------------------------------------------------------------
 
 

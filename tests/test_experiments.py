@@ -6,9 +6,7 @@ import pytest
 from metasyn.experiments import (
     ExperimentSpec,
     SweepResult,
-    Variant,
     run_comparison,
-    run_experiment,
     sweep_cf,
     sweep_size,
     threshold_crossing,
@@ -63,31 +61,53 @@ def test_spec_requires_seeds():
 
 def test_spec_requires_grids():
     with pytest.raises(ValueError):
-        ExperimentSpec(variant=Variant.SWEEP_SIZE, size_grid=())
+        ExperimentSpec(size_grid=())
     with pytest.raises(ValueError):
-        ExperimentSpec(variant=Variant.SWEEP_CF, c_grid=())
+        ExperimentSpec(c_grid=())
+    with pytest.raises(ValueError):
+        ExperimentSpec(f_grid=())
 
 
-def test_variant_guards():
-    spec = ExperimentSpec(base=BASE, seeds=(0,), n_patterns=5)
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"seeds": (0, -1)},
+        {"size_grid": (16, 0)},
+        {"c_grid": (1.5,)},
+        {"c_grid": (0.0,)},
+        {"f_grid": (1.0,)},
+        {"f_grid": (float("nan"),)},
+        {"sigma": -0.1},
+    ],
+    ids=["seed", "size", "c_high", "c_zero", "f_one", "f_nan", "sigma"],
+)
+def test_spec_rejects_out_of_range_entries(kwargs):
     with pytest.raises(ValueError):
-        sweep_size(spec)
+        ExperimentSpec(**kwargs)
+
+
+def test_comparison_requires_models():
     with pytest.raises(ValueError):
-        sweep_cf(spec)
-    with pytest.raises(ValueError):
-        run_comparison(
-            ExperimentSpec(base=BASE, variant=Variant.SWEEP_SIZE, seeds=(0,))
-        )
+        run_comparison(ExperimentSpec(base=BASE, seeds=(0,)), models=())
+
+
+@pytest.mark.parametrize("sweep", [sweep_size, sweep_cf])
+def test_gradient_hardware_sweep_rejected(sweep):
+    base = NetworkConfig(n_in=16, n_out=16, model=Model.GRADIENT)
+    spec = ExperimentSpec(
+        base=base, seeds=(0,), n_patterns=5, hardware=True, size_grid=(16,),
+        c_grid=(0.25,), f_grid=(0.25,),
+    )
+    with pytest.raises(ValueError, match="no crossbar realization"):
+        sweep(spec)
 
 
 # ---- comparison ------------------------------------------------------------------
 
 
 def test_single_seed_single_model_has_one_trace():
-    spec = ExperimentSpec(
-        base=BASE, seeds=(7,), n_patterns=10, models=(Model.MULTISTATE,)
-    )
-    res = run_comparison(spec)
+    spec = ExperimentSpec(base=BASE, seeds=(7,), n_patterns=10)
+    res = run_comparison(spec, models=(Model.MULTISTATE,))
     assert res.grid == (("multistate",),)
     assert len(res.traces["multistate"]) == 1
     assert res.ratio_vs_binary is None
@@ -104,22 +124,14 @@ def test_comparison_runs_all_models_and_ratio():
 
 
 def test_hardware_flag_adds_crossbar_runs():
-    spec = ExperimentSpec(
-        base=BASE,
-        seeds=(0,),
-        n_patterns=10,
-        hardware=True,
-        models=(Model.BINARY, Model.GRADIENT),
-    )
-    res = run_comparison(spec)
+    spec = ExperimentSpec(base=BASE, seeds=(0,), n_patterns=10, hardware=True)
+    res = run_comparison(spec, models=(Model.BINARY, Model.GRADIENT))
     assert res.grid[0] == ("binary", "gradient", "hw_binary")
 
 
 def test_aggregate_shapes():
-    spec = ExperimentSpec(
-        base=BASE, seeds=(0, 1, 2), n_patterns=12, models=(Model.BINARY,)
-    )
-    res = run_comparison(spec)
+    spec = ExperimentSpec(base=BASE, seeds=(0, 1, 2), n_patterns=12)
+    res = run_comparison(spec, models=(Model.BINARY,))
     lm, ls, mm, ms = res.aggregate("binary")
     assert lm.shape == (12,) and ms.shape == (12,)
     assert np.all(ls >= 0) and np.all(ms >= 0)
@@ -160,7 +172,6 @@ def test_result_shape_invariant():
 def test_sweep_size_labels_and_cells():
     spec = ExperimentSpec(
         base=NetworkConfig(n_in=16, n_out=16, model=Model.MULTISTATE),
-        variant=Variant.SWEEP_SIZE,
         seeds=(0,),
         n_patterns=10,
         size_grid=(16, 32),
@@ -174,7 +185,6 @@ def test_sweep_size_labels_and_cells():
 def test_sweep_cf_marks_invalid_cells():
     spec = ExperimentSpec(
         base=NetworkConfig(n_in=16, n_out=16),
-        variant=Variant.SWEEP_CF,
         seeds=(0,),
         n_patterns=8,
         c_grid=(0.25,),
@@ -187,13 +197,26 @@ def test_sweep_cf_marks_invalid_cells():
     assert not np.isnan(res.mean_at_end[0, 1])
 
 
+def test_all_invalid_cf_grid_runs_nothing():
+    spec = ExperimentSpec(
+        base=NetworkConfig(n_in=16, n_out=16),
+        seeds=(0,),
+        n_patterns=8,
+        c_grid=(0.25, 0.5),
+        f_grid=(0.01,),
+    )
+    res = sweep_cf(spec)
+    assert res.valid.shape == (2, 1) and not res.valid.any()
+    assert np.all(np.isnan(res.mean_at_end)) and np.all(np.isnan(res.learning_at_end))
+    assert res.traces == {} and res.crossings == {}
+
+
 def test_single_cell_cf_equals_direct_run():
     from metasyn.network import run_lifetime
 
     cfg = NetworkConfig(n_in=32, n_out=32, connectivity=0.25, activity=0.25, seed=3)
     spec = ExperimentSpec(
         base=cfg,
-        variant=Variant.SWEEP_CF,
         seeds=(3,),
         n_patterns=15,
         c_grid=(0.25,),
@@ -204,19 +227,10 @@ def test_single_cell_cf_equals_direct_run():
     assert res.mean_at_end[0, 0] == pytest.approx(float(direct.mean[-1]))
 
 
-def test_dispatch_matches_variant():
-    spec = ExperimentSpec(base=BASE, seeds=(0,), n_patterns=6, models=(Model.BINARY,))
-    direct = run_comparison(spec)
-    routed = run_experiment(spec)
-    assert np.array_equal(direct.mean_at_end, routed.mean_at_end)
-
-
 def test_identical_spec_bit_identical_result():
-    spec = ExperimentSpec(
-        base=BASE, seeds=(0, 1), n_patterns=20, models=(Model.MULTISTATE,)
-    )
-    a = run_comparison(spec)
-    b = run_comparison(spec)
+    spec = ExperimentSpec(base=BASE, seeds=(0, 1), n_patterns=20)
+    a = run_comparison(spec, models=(Model.MULTISTATE,))
+    b = run_comparison(spec, models=(Model.MULTISTATE,))
     assert np.array_equal(a.mean_at_end, b.mean_at_end)
     assert a.crossings == b.crossings
     for ta, tb in zip(a.traces["multistate"], b.traces["multistate"]):
@@ -227,11 +241,7 @@ def test_identical_spec_bit_identical_result():
 def test_seed_mean_stability_on_doubling():
     """Doubling the seed count moves the crossing ratio by < 10%."""
     models = (Model.BINARY, Model.MULTISTATE)
-    half = run_comparison(
-        ExperimentSpec(seeds=tuple(range(5)), n_patterns=100, models=models)
-    )
-    full = run_comparison(
-        ExperimentSpec(seeds=tuple(range(10)), n_patterns=100, models=models)
-    )
+    half = run_comparison(ExperimentSpec(seeds=tuple(range(5)), n_patterns=100), models)
+    full = run_comparison(ExperimentSpec(seeds=tuple(range(10)), n_patterns=100), models)
     rel = abs(full.ratio_vs_binary - half.ratio_vs_binary) / full.ratio_vs_binary
     assert rel < 0.10
