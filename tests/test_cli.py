@@ -134,8 +134,10 @@ def test_every_key_range_checked(key):
         lambda: DeviceParams(alpha_off=-1.0),
         lambda: DeviceParams(tau=-1.0),
         lambda: ExperimentSpec(c_grid=(1.5,)),
+        lambda: ExperimentSpec(f_grid=(float("nan"),)),
+        lambda: ExperimentSpec(sigma=float("nan")),
     ],
-    ids=["learning_rate", "seed", "alpha_off", "tau", "c_grid"],
+    ids=["learning_rate", "seed", "alpha_off", "tau", "c_grid", "f_nan", "sigma_nan"],
 )
 def test_library_rejects_what_the_cli_rejects(build):
     with pytest.raises(ValueError):
