@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -141,32 +142,69 @@ class Crossbar:
         log: list[ProgramEvent] | None = None,
         step: int = 0,
     ) -> None:
-        """One training presentation through :func:`correct_pattern`:
-        potentiation phase on +1-error columns, then depression phase on
-        -1-error columns, with inactive rows held at v_half."""
+        """One training presentation on this crossbar alone: the one-run
+        view of :func:`train_lockstep`."""
+        train_lockstep([self], [pat], log=log, step=step)
 
-        def pulse(direction: UpdateDirection, sel: np.ndarray) -> None:
-            guarded = np.zeros_like(sel)
-            guarded[sel] = self.table.verify(self.x[sel], direction)
-            if not guarded.any():
-                return
-            before = self.x[guarded]
-            after = integrate_pulse(before, self.table.pulse_for(direction), self.params, self.noise)
-            self.x[guarded] = after
-            if log is not None:
-                phase = direction.name.lower()
-                decode, state_at = self.table.decode_index, self.table.state_at
-                log.extend(
-                    ProgramEvent(
-                        step, phase, int(r), int(c), float(xb), float(xa),
-                        state_at(int(ib)), state_at(int(ia)),
-                    )
-                    for r, c, xb, xa, ib, ia in zip(
-                        *np.nonzero(guarded), before, after, decode(before), decode(after)
-                    )
+
+def train_lockstep(
+    crossbars: Sequence[Crossbar],
+    pats: Sequence[Pattern],
+    log: list[ProgramEvent] | None = None,
+    step: int = 0,
+) -> None:
+    """One training presentation per crossbar through :func:`correct_pattern`,
+    crossbar k on pats[k], all in lockstep: potentiation phase on +1-error
+    columns, then depression phase on -1-error columns, with inactive rows
+    held at v_half.
+
+    Each phase programs the read-verified devices of every crossbar with one
+    :func:`integrate_pulse` call, in which each crossbar's devices draw from
+    its own noise stream, so every crossbar ends where it would alone.  The
+    crossbars must share device params and programming pulse.  The event
+    log records one crossbar's events, so it needs a single crossbar.
+    """
+    if log is not None and len(crossbars) != 1:
+        raise ValueError("an event log records the events of one crossbar")
+    if len({(xb.params, xb.table.pulse) for xb in crossbars}) > 1:
+        raise ValueError("crossbars in lockstep must share device params and pulse")
+
+    def pulse(direction: UpdateDirection, selects: list[np.ndarray | None]) -> None:
+        guards = []
+        for xb, sel in zip(crossbars, selects):
+            guarded = np.zeros_like(xb.mask)
+            if sel is not None:
+                guarded[sel] = xb.table.verify(xb.x[sel], direction)
+            guards.append(guarded)
+        befores = [xb.x[guarded] for xb, guarded in zip(crossbars, guards)]
+        counts = [before.size for before in befores]
+        if not any(counts):
+            return
+        first = crossbars[0]
+        after = integrate_pulse(
+            np.concatenate(befores),
+            first.table.pulse_for(direction),
+            first.params,
+            [(xb.noise, count) for xb, count in zip(crossbars, counts)],
+        )
+        afters = np.split(after, np.cumsum(counts)[:-1])
+        for xb, guarded, xs in zip(crossbars, guards, afters):
+            xb.x[guarded] = xs
+        if log is not None:
+            phase = direction.name.lower()
+            decode, state_at = first.table.decode_index, first.table.state_at
+            before, after = befores[0], afters[0]
+            log.extend(
+                ProgramEvent(
+                    step, phase, int(r), int(c), float(x0), float(x1),
+                    state_at(int(i0)), state_at(int(i1)),
                 )
+                for r, c, x0, x1, i0, i1 in zip(
+                    *np.nonzero(guards[0]), before, after, decode(before), decode(after)
+                )
+            )
 
-        correct_pattern(self.cfg, self.mask, self.train_rng, self.infer_batch, pulse, pat)
+    correct_pattern(crossbars, lambda k, rows: crossbars[k].infer_batch(rows), pulse, pats)
 
 
 def reference_current_level(
@@ -230,27 +268,45 @@ def init_crossbar(
 
 
 def run_lifetime_hw(
-    cfg: NetworkConfig,
+    cfg: NetworkConfig | Sequence[NetworkConfig],
     n_patterns: int = 100,
     params: DeviceParams | None = None,
     comparator: ComparatorConfig | None = None,
-    noise: NoiseModel | str = "default",
+    noise: NoiseModel | Sequence[NoiseModel | None] | str | None = "default",
     event_log: list[ProgramEvent] | None = None,
-) -> AccuracyTrace:
+) -> AccuracyTrace | list[AccuracyTrace]:
     """Hardware lifetime run under the same protocol as the behavioral path.
 
     Patterns and the initial synapse assignment are identical to the
     behavioral run with the same config; only inference and updates go
     through the device model.  Programming noise defaults to sigma = 0.25
     on a stream derived from cfg.seed; pass NoiseModel.off() to disable.
+
+    Given a sequence of configs, the runs go in lockstep through
+    :func:`train_lockstep` and one trace per config comes back, each equal
+    to the trace of that config run alone; noise is then "default" or one
+    model (or None) per config, and an event log needs a single config.
     """
+    one = isinstance(cfg, NetworkConfig)
+    cfgs = [cfg] if one else list(cfg)
     if noise == "default":
-        noise = NoiseModel(rng_seed=seed_streams(cfg.seed)["noise"])
-    xb = init_crossbar(cfg, params=params, comparator=comparator, noise=noise)
-    patterns = make_pattern_set(cfg, n_patterns)
+        noises = [NoiseModel(rng_seed=seed_streams(c.seed)["noise"]) for c in cfgs]
+    else:
+        noises = [noise] if one else list(noise)
+        if len(noises) != len(cfgs):
+            raise ValueError("need one noise model per config")
+    crossbars = [
+        init_crossbar(c, params=params, comparator=comparator, noise=n)
+        for c, n in zip(cfgs, noises)
+    ]
     counter = iter(range(n_patterns))
 
-    def step(pat: Pattern) -> None:
-        xb.train_two_phase(pat, log=event_log, step=next(counter))
+    def step(pats: list[Pattern]) -> None:
+        train_lockstep(crossbars, pats, log=event_log, step=next(counter))
 
-    return lifetime_loop(step, xb.infer_batch, patterns)
+    traces = lifetime_loop(
+        step,
+        lambda k, rows: crossbars[k].infer_batch(rows),
+        [make_pattern_set(c, n_patterns) for c in cfgs],
+    )
+    return traces[0] if one else traces

@@ -138,8 +138,9 @@ class NoiseModel:
     _rng: np.random.Generator | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
+        # written so that NaN fails too, instead of reading as noise off
+        if not self.sigma >= 0.0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
     @property
     def active(self) -> bool:
@@ -193,11 +194,20 @@ def state_derivative(x, v, params: DeviceParams):
     return value if value.ndim else float(value)
 
 
+def _clamp_unit(v):
+    """np.clip(v, 0.0, 1.0) bit for bit, -0.0 and NaN included, at about
+    half its call cost; the argument order of the maximum keeps -0.0."""
+    return np.minimum(np.maximum(0.0, v), 1.0)
+
+
+NoiseSegments = list[tuple[NoiseModel | None, int]]
+
+
 def integrate_pulse(
     x,
     pulse: PulseSpec,
     params: DeviceParams,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel | NoiseSegments | None = None,
 ):
     """Drive an array (or scalar) of states through one rectangular pulse.
 
@@ -209,11 +219,21 @@ def integrate_pulse(
     steps, and the state is clamped to [0, 1] after every step.
     Sub-threshold drive gives a derivative of exactly zero in both stages,
     so the state is left bit-identical.
+
+    noise is one model for every device, or a list of (model, count)
+    segments that split the flattened states in order, so one call can
+    program the devices of several runs that each own a noise stream.  Each
+    block draws (steps, count) from every active segment's stream; a
+    segment without active noise gets a gain of exactly 1.  Block draws
+    concatenate in stream order, so every segment's numbers are the ones a
+    call on its devices alone would draw.
     """
-    xa = np.asarray(x, dtype=float).copy()
-    scalar = xa.ndim == 0
-    if scalar:
-        xa = xa.reshape(1)
+    xa = np.array(x, dtype=float)
+    shape = xa.shape
+    xa = xa.reshape(-1)
+    segments = noise if isinstance(noise, list) else [(noise, xa.size)]
+    if sum(count for _, count in segments) != xa.size:
+        raise ValueError("noise segment counts must add up to the number of states")
     n_full, remainder = divmod(pulse.duration, pulse.dt)
     steps = [pulse.dt] * int(round(n_full))
     if remainder > 1e-12 * pulse.dt:
@@ -223,22 +243,29 @@ def integrate_pulse(
     def rate(xs):
         return drive * window(xs, params) / params.d_thickness
 
-    noisy = noise is not None and noise.active
+    noisy = any(model is not None and model.active for model, _ in segments)
     block = max(1, _NOISE_BLOCK_BYTES // max(xa.nbytes, 1)) if noisy else len(steps)
     for start in range(0, len(steps), block):
         chunk = steps[start : start + block]
         if noisy:
-            gains = noise.rng().standard_normal((len(chunk),) + xa.shape)
-            gains *= noise.sigma
-            gains += 1.0
+            parts = []
+            for model, count in segments:
+                if model is not None and model.active:
+                    part = model.rng().standard_normal((len(chunk), count))
+                    part *= model.sigma
+                    part += 1.0
+                else:
+                    part = np.ones((len(chunk), count))
+                parts.append(part)
+            gains = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         for i, dt in enumerate(chunk):
             k1 = rate(xa)
-            k2 = rate(np.clip(xa + k1 * dt, 0.0, 1.0))
+            k2 = rate(_clamp_unit(xa + k1 * dt))
             dx = 0.5 * (k1 + k2) * dt
             if noisy:
                 dx = dx * gains[i]
-            xa = np.clip(xa + dx, 0.0, 1.0)
-    return float(xa[0]) if scalar else xa
+            xa = _clamp_unit(xa + dx)
+    return float(xa[0]) if not shape else xa.reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -146,32 +146,6 @@ def threshold_crossing(trace: AccuracyTrace, threshold: float) -> int | None:
     return int(below[0]) + 1
 
 
-def _run_one(spec: ExperimentSpec, cfg: NetworkConfig, hardware: bool) -> AccuracyTrace:
-    if hardware:
-        return run_lifetime_hw(
-            cfg, n_patterns=spec.n_patterns, params=spec.params, noise=spec.noise_for(cfg.seed)
-        )
-    return run_lifetime(cfg, n_patterns=spec.n_patterns)
-
-
-def _collect(
-    spec: ExperimentSpec, label: str, cfg: NetworkConfig, hardware: bool,
-    crossings: dict, traces: dict,
-) -> tuple[float, float]:
-    """Run one cell over all seeds; returns seed-averaged (learning[-1],
-    mean[-1]) and records per-seed traces and crossings under the label."""
-    cell_traces = tuple(
-        _run_one(spec, replace(cfg, seed=s), hardware) for s in spec.seeds
-    )
-    crossings[label] = tuple(
-        threshold_crossing(t, spec.mean_threshold) for t in cell_traces
-    )
-    traces[label] = cell_traces
-    learn = float(np.mean([t.learning[-1] for t in cell_traces]))
-    mean = float(np.mean([t.mean[-1] for t in cell_traces]))
-    return learn, mean
-
-
 Cell = tuple[str, NetworkConfig, bool]
 
 
@@ -184,15 +158,40 @@ def run_cells(
 ) -> SweepResult:
     """Run each (label, config, hardware) cell over spec.seeds.
 
-    The cells fill the grid's valid entries in row-major order (every entry
-    when valid is None); the others hold NaN.
+    Every hardware (cell, seed) run goes in one lockstep group, so each
+    programming phase is one pulse call across all of them; each run keeps
+    its own streams, so its trace is the one it gives alone.  The cells
+    fill the grid's valid entries in row-major order (every entry when
+    valid is None); the others hold NaN.  Crossings are computed per seed
+    and the end-of-run accuracies averaged over seeds.
     """
     shape = tuple(len(g) for g in grid)
     valid = np.ones(shape, dtype=bool) if valid is None else valid
     learn_cells, mean_cells = np.full(shape, np.nan), np.full(shape, np.nan)
     crossings: dict[str, tuple[int | None, ...]] = {}
     traces: dict[str, tuple[AccuracyTrace, ...]] = {}
-    ends = [_collect(spec, label, cfg, hw, crossings, traces) for label, cfg, hw in cells]
+    runs = [
+        (label, [replace(cfg, seed=s) for s in spec.seeds], hw) for label, cfg, hw in cells
+    ]
+    sw_cfgs = [c for _, cfgs, hw in runs if not hw for c in cfgs]
+    hw_cfgs = [c for _, cfgs, hw in runs if hw for c in cfgs]
+    sw_traces = [run_lifetime(c, n_patterns=spec.n_patterns) for c in sw_cfgs]
+    hw_traces = run_lifetime_hw(
+        hw_cfgs,
+        n_patterns=spec.n_patterns,
+        params=spec.params,
+        noise=[spec.noise_for(c.seed) for c in hw_cfgs],
+    ) if hw_cfgs else []
+    done = {False: iter(sw_traces), True: iter(hw_traces)}
+    ends = []
+    for label, cfgs, hw in runs:
+        cell_traces = tuple(next(done[hw]) for _ in cfgs)
+        crossings[label] = tuple(
+            threshold_crossing(t, spec.mean_threshold) for t in cell_traces
+        )
+        traces[label] = cell_traces
+        learn = np.mean([t.learning[-1] for t in cell_traces])
+        ends.append((learn, np.mean([t.mean[-1] for t in cell_traces])))
     if ends:
         learn_cells[valid], mean_cells[valid] = np.array(ends).T
     return SweepResult(

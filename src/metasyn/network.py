@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -145,7 +145,7 @@ class BehavioralNetwork:
         self.eff = eff
         self.lvl = lvl
         self.weights = weights
-        self._train_rng = train_rng
+        self.train_rng = train_rng
 
     @classmethod
     def initialize(cls, cfg: NetworkConfig) -> "BehavioralNetwork":
@@ -184,62 +184,94 @@ class BehavioralNetwork:
     def train_on_pattern(self, pat: Pattern) -> None:
         """Up to updates_per_pattern correction rounds on one pattern; stops
         as soon as every output bit matches."""
-        correct_pattern(self.cfg, self.mask, self._train_rng, self.forward_batch, self._step, pat)
+        correct_pattern([self], lambda k, rows: self.forward_batch(rows), self._step, [pat])
 
-    def _step(self, direction: UpdateDirection, select: np.ndarray) -> None:
+    def _step(self, direction: UpdateDirection, selects: list[np.ndarray | None]) -> None:
+        (select,) = selects
         if self.cfg.model is Model.GRADIENT:
             gradient_step(self.weights, direction, select, self.cfg.learning_rate)
         else:
             transition_arrays(self.eff, self.lvl, self.cfg.effective_levels, direction, select)
 
 
-def correct_pattern(
-    cfg: NetworkConfig,
-    mask: np.ndarray,
-    train_rng: np.random.Generator,
-    read: Callable[[np.ndarray], np.ndarray],
-    step: Callable[[UpdateDirection, np.ndarray], None],
-    pat: Pattern,
-) -> None:
-    """The correction step both network views train with.
+class Learner(Protocol):
+    """What the correction step needs of a run: its config, its mask and
+    the stream its q gates are drawn from."""
 
-    Each of up to updates_per_pattern rounds reads the pattern back through
-    ``read`` (a batch of one row) and stops once every output bit matches.
-    Otherwise it runs the potentiate phase, then the depress phase.  A phase
-    selects the connected synapses on active rows of the columns whose error
-    has its sign, passes them through the q gate drawn from ``train_rng``,
-    and hands the selection to the model's step rule ``step``.
+    cfg: NetworkConfig
+    mask: np.ndarray
+    train_rng: np.random.Generator
+
+
+def correct_pattern(
+    runs: Sequence[Learner],
+    read: Callable[[int, np.ndarray], np.ndarray],
+    step: Callable[[UpdateDirection, list[np.ndarray | None]], None],
+    pats: Sequence[Pattern],
+) -> None:
+    """The correction step both network views train with, on several runs
+    in lockstep; run k trains on pats[k].
+
+    Each of up to updates_per_pattern rounds reads every live run's pattern
+    back through ``read(k, rows)`` (a batch of one row); a run whose output
+    bits all match stops there and draws no further gates.  Then comes the
+    potentiate phase, then the depress phase.  A phase selects, per run, the
+    connected synapses on active rows of the columns whose error has its
+    sign, passes them through the q gate drawn from the run's own
+    ``train_rng``, and hands all selections to the step rule ``step`` in one
+    call, None for a run that has stopped.  Each run draws from its own
+    streams in the order it would alone, so lockstep changes no number.
     """
-    active = mask & pat.input_bits.astype(bool)[:, np.newaxis]
-    target = pat.target_bits.astype(np.int8)
-    for _ in range(cfg.updates_per_pattern):
-        err = target - read(pat.input_bits[np.newaxis, :])[0].astype(np.int8)
-        if not err.any():
+    actives = [
+        run.mask & pat.input_bits.astype(bool)[:, np.newaxis] for run, pat in zip(runs, pats)
+    ]
+    targets = [pat.target_bits.astype(np.int8) for pat in pats]
+    live = list(range(len(runs)))
+    for round_ in range(max((run.cfg.updates_per_pattern for run in runs), default=0)):
+        errs = {}
+        for k in live:
+            if round_ < runs[k].cfg.updates_per_pattern:
+                err = targets[k] - read(k, pats[k].input_bits[np.newaxis, :])[0].astype(np.int8)
+                if err.any():
+                    errs[k] = err
+        live = list(errs)
+        if not live:
             break
         for direction in (UpdateDirection.POTENTIATE, UpdateDirection.DEPRESS):
-            select = active & (err == direction.value)[np.newaxis, :]
-            step(direction, stochastic_gate(select, cfg.q, train_rng))
+            selects: list[np.ndarray | None] = [None] * len(runs)
+            for k in live:
+                select = actives[k] & (errs[k] == direction.value)[np.newaxis, :]
+                selects[k] = stochastic_gate(select, runs[k].cfg.q, runs[k].train_rng)
+            step(direction, selects)
 
 
-def lifetime_loop(net_step, infer_batch, patterns: list[Pattern]) -> AccuracyTrace:
-    """Shared train/measure protocol for the behavioral and hardware paths.
+def lifetime_loop(
+    net_step: Callable[[list[Pattern]], None],
+    infer_batch: Callable[[int, np.ndarray], np.ndarray],
+    pattern_sets: Sequence[list[Pattern]],
+) -> list[AccuracyTrace]:
+    """Shared train/measure protocol for the behavioral and hardware paths,
+    over several runs in lockstep; run k presents pattern_sets[k].
 
-    After training on pattern t, every pattern seen so far is re-inferred
-    with the current state: learning[t] is the bit accuracy on pattern t,
-    mean[t] the average bit accuracy over patterns 0..t.
+    At step t, ``net_step`` trains every run on its pattern t in one call.
+    Then every pattern run k has seen so far is re-inferred with its current
+    state through ``infer_batch(k, rows)``: learning[t] is the bit accuracy
+    on pattern t, mean[t] the average bit accuracy over patterns 0..t.
     """
-    inputs = np.stack([p.input_bits for p in patterns]).astype(np.float64)
-    targets = np.stack([p.target_bits for p in patterns])
-    n = len(patterns)
-    learning = np.empty(n)
-    mean = np.empty(n)
+    n = len(pattern_sets[0]) if pattern_sets else 0
+    if any(len(patterns) != n for patterns in pattern_sets):
+        raise ValueError("runs in lockstep must present equally many patterns")
+    inputs = [np.stack([p.input_bits for p in ps]) for ps in pattern_sets]
+    targets = [np.stack([p.target_bits for p in ps]) for ps in pattern_sets]
+    traces = [AccuracyTrace(learning=np.empty(n), mean=np.empty(n)) for _ in pattern_sets]
     for t in range(n):
-        net_step(patterns[t])
-        outputs = infer_batch(inputs[: t + 1])
-        acc = (outputs == targets[: t + 1]).mean(axis=1)
-        learning[t] = acc[t]
-        mean[t] = acc.mean()
-    return AccuracyTrace(learning=learning, mean=mean)
+        net_step([patterns[t] for patterns in pattern_sets])
+        for k, trace in enumerate(traces):
+            outputs = infer_batch(k, inputs[k][: t + 1])
+            acc = (outputs == targets[k][: t + 1]).mean(axis=1)
+            trace.learning[t] = acc[t]
+            trace.mean[t] = acc.mean()
+    return traces
 
 
 def run_lifetime(cfg: NetworkConfig, n_patterns: int = 100) -> AccuracyTrace:
@@ -247,7 +279,7 @@ def run_lifetime(cfg: NetworkConfig, n_patterns: int = 100) -> AccuracyTrace:
     patterns = make_pattern_set(cfg, n_patterns)
     net = BehavioralNetwork.initialize(cfg)
     return lifetime_loop(
-        net.train_on_pattern,
-        lambda rows: net.forward_batch(rows),
-        patterns,
-    )
+        lambda pats: net.train_on_pattern(pats[0]),
+        lambda k, rows: net.forward_batch(rows),
+        [patterns],
+    )[0]

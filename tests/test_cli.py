@@ -231,9 +231,14 @@ def test_every_key_reaches_the_run(tmp_path, monkeypatch, cmd):
 
     def recorder(kind):
         def run(cfg, n_patterns=100, **kwargs):
-            calls.append((kind, cfg, n_patterns, kwargs))
             ones = np.ones(n_patterns)
-            return AccuracyTrace(learning=ones, mean=ones)
+            if isinstance(cfg, NetworkConfig):
+                calls.append((kind, cfg, n_patterns, kwargs))
+                return AccuracyTrace(learning=ones, mean=ones)
+            # a lockstep group: one entry per run, with that run's noise
+            for c, noise in zip(cfg, kwargs["noise"], strict=True):
+                calls.append((kind, c, n_patterns, {**kwargs, "noise": noise}))
+            return [AccuracyTrace(learning=ones, mean=ones) for _ in cfg]
 
         return run
 

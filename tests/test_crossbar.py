@@ -12,6 +12,7 @@ from metasyn.crossbar import (
     init_crossbar,
     reference_current_level,
     run_lifetime_hw,
+    train_lockstep,
 )
 from metasyn.device import (
     DeviceParams,
@@ -149,6 +150,46 @@ def test_event_log_matches_state_machine():
             else UpdateDirection.DEPRESS
         )
         assert ev.meta_after == transition(ev.meta_before, d)
+
+
+def test_nan_sigma_rejected_before_a_hardware_run():
+    # NaN sigma used to construct and then run silently noise-free
+    with pytest.raises(ValueError, match="sigma"):
+        run_lifetime_hw(SMALL, n_patterns=2, noise=NoiseModel(sigma=float("nan")))
+
+
+def test_lockstep_runs_equal_runs_alone():
+    """Configs of different sizes, models and q in one lockstep group give
+    the traces each gives alone, noise models passed or defaulted."""
+    cfgs = [
+        NetworkConfig(n_in=16, n_out=16, connectivity=0.5, activity=0.5, seed=1),
+        NetworkConfig(n_in=24, n_out=20, model=Model.BINARY, q=0.6, seed=2),
+        NetworkConfig(n_in=16, n_out=16, updates_per_pattern=3, q=0.5, seed=3),
+    ]
+
+    def mixed():
+        return [NoiseModel(sigma=0.1, rng_seed=7), NoiseModel.off(), None]
+
+    for noise in ("default", mixed()):
+        together = run_lifetime_hw(cfgs, n_patterns=10, noise=noise)
+        own = ["default"] * len(cfgs) if noise == "default" else mixed()
+        for k, cfg in enumerate(cfgs):
+            alone = run_lifetime_hw(cfg, n_patterns=10, noise=own[k])
+            assert together[k].learning.tobytes() == alone.learning.tobytes()
+            assert together[k].mean.tobytes() == alone.mean.tobytes()
+
+
+def test_lockstep_rejects_what_it_cannot_share():
+    cfgs = [SMALL, SMALL]
+    with pytest.raises(ValueError, match="one noise model per config"):
+        run_lifetime_hw(cfgs, n_patterns=2, noise=[NoiseModel.off()])
+    with pytest.raises(ValueError, match="one crossbar"):
+        run_lifetime_hw(cfgs, n_patterns=2, event_log=[])
+    a = init_crossbar(SMALL)
+    b = init_crossbar(SMALL, params=DeviceParams(g_off=2e-7))
+    pat = make_pattern_set(SMALL, 1)[0]
+    with pytest.raises(ValueError, match="share device params"):
+        train_lockstep([a, b], [pat, pat])
 
 
 def test_hardware_run_deterministic():

@@ -238,19 +238,69 @@ def _reference_anchor(n_levels, pulse, params):
     return hi
 
 
-@pytest.mark.parametrize("n", [None, 0, 7, 150, 5000], ids=["scalar", "0", "7", "150", "5000"])
+# signed zeros and states off the [0, 1] range, which the clamp must treat
+# exactly as np.clip does
+EDGE_STATES = np.array([-0.0, 0.0, -0.0, 1.0, -1e-300, -0.25, 1.0 + 1e-16, 1.5, 0.5, 1e-300])
+
+
+@pytest.mark.parametrize(
+    "n", [None, 0, 7, 150, 5000, "edge"], ids=["scalar", "0", "7", "150", "5000", "edge"]
+)
 @pytest.mark.parametrize("amplitude", [1.2, -1.2, 0.6])
 @pytest.mark.parametrize("sigma", [0.0, 0.25], ids=["quiet", "noisy"])
 def test_integrate_pulse_matches_reference_kernel(params, n, amplitude, sigma):
-    x = 0.37 if n is None else np.random.default_rng(n).random(n)
+    if n == "edge":
+        x = EDGE_STATES
+    else:
+        x = 0.37 if n is None else np.random.default_rng(n).random(n)
     pulse = PulseSpec(amplitude=amplitude)
     ours, ref = NoiseModel(sigma=sigma, rng_seed=11), NoiseModel(sigma=sigma, rng_seed=11)
     out = integrate_pulse(x, pulse, params, ours)
     expected = _reference_integrate_pulse(x, pulse, params, ref)
     assert type(out) is type(expected)
     assert np.array_equal(out, expected)
+    # bit for bit, so a -0.0 that comes out +0.0 fails
+    assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
     # the noise stream is left where the step-by-step draws leave it
     assert ours.rng().standard_normal() == ref.rng().standard_normal()
+
+
+@pytest.mark.parametrize(
+    "counts", [(3, 5, 2, 0, 4), (0, 0), (2000, 900, 100, 0, 2000)], ids=["small", "empty", "blocks"]
+)
+@pytest.mark.parametrize("amplitude", [1.2, -1.2])
+def test_segmented_pulse_equals_separate_calls(params, counts, amplitude):
+    """One call over several runs' devices equals one call per run, each on
+    its own noise stream: zero-count segments draw nothing, and at 5000
+    devices the noise comes in blocks of a few steps."""
+    x = np.random.default_rng(len(counts)).random(sum(counts))
+    pulse = PulseSpec(amplitude=amplitude)
+
+    def models():
+        # noisy, off, absent and a second sigma, cycled over the segments
+        kinds = [
+            lambda i: NoiseModel(sigma=0.25, rng_seed=i),
+            lambda i: NoiseModel.off(),
+            lambda i: None,
+            lambda i: NoiseModel(sigma=0.1, rng_seed=i),
+        ]
+        return [kinds[i % 4](i) for i in range(len(counts))]
+
+    joint, alone = models(), models()
+    out = integrate_pulse(x, pulse, params, list(zip(joint, counts)))
+    parts = np.split(x, np.cumsum(counts)[:-1])
+    expected = np.concatenate(
+        [integrate_pulse(xs, pulse, params, model) for xs, model in zip(parts, alone)]
+    )
+    assert out.tobytes() == expected.tobytes()
+    for a, b in zip(joint, alone):
+        if a is not None and a.active:
+            assert a.rng().standard_normal() == b.rng().standard_normal()
+
+
+def test_segment_counts_must_cover_the_states(params):
+    with pytest.raises(ValueError, match="add up"):
+        integrate_pulse(np.zeros(4), PulseSpec(1.2), params, [(None, 3)])
 
 
 @pytest.mark.parametrize("n_levels", [1, 3, 5])
@@ -385,7 +435,11 @@ def test_noisy_programming_mostly_tracks_noise_free(params, table):
 
     Agreement depends on where a command walk ends (mid-chain endpoints
     sit closer to decode boundaries than saturated ones), so the rate is
-    taken across several fixed walks rather than a single one.
+    taken across several fixed walks rather than a single one.  The 50
+    trials of a walk each own a noise stream and are programmed together:
+    per command, the read-verified devices get one segmented pulse, which
+    draws from each trial's stream what :func:`program_transition` on that
+    device alone would.
     """
     agree = trials = 0
     for cmd_seed in range(4):
@@ -394,19 +448,27 @@ def test_noisy_programming_mostly_tracks_noise_free(params, table):
         clean = MetaState(Efficacy.LOW, 0, 3)
         for d in cmds:
             clean = transition(clean, d)
-        for k in range(50):
-            noise = NoiseModel(sigma=0.25, rng_seed=2000 + 100 * cmd_seed + k)
-            dev = DeviceState(x=table.x_for(MetaState(Efficacy.LOW, 0, 3)))
-            for d in cmds:
-                dev = program_transition(dev, d, params, table, noise)
-            agree += decode_metastate(dev, table) == clean
-            trials += 1
+        noises = [NoiseModel(sigma=0.25, rng_seed=2000 + 100 * cmd_seed + k) for k in range(50)]
+        xs = np.full(len(noises), table.x_for(MetaState(Efficacy.LOW, 0, 3)))
+        for d in cmds:
+            guard = table.verify(xs, d)
+            segments = [(noise, int(g)) for noise, g in zip(noises, guard)]
+            xs[guard] = integrate_pulse(xs[guard], table.pulse_for(d), params, segments)
+        agree += int(np.sum(table.decode_index(xs) == table.index_of(clean)))
+        trials += len(noises)
     assert agree / trials >= 0.95
 
 
 def test_noise_model_off():
     assert not NoiseModel.off().active
     assert NoiseModel(sigma=0.0).active is False
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), -0.1], ids=["nan", "negative"])
+def test_noise_model_rejects_bad_sigma(sigma):
+    # NaN used to pass the check and then read as noise off
+    with pytest.raises(ValueError, match="sigma"):
+        NoiseModel(sigma=sigma)
 
 
 def test_pulse_spec_validation():

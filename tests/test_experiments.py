@@ -1,5 +1,7 @@
 """Experiment harness tests: crossing statistics, sweep assembly, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from metasyn.experiments import (
     sweep_size,
     threshold_crossing,
 )
+from metasyn.crossbar import run_lifetime_hw
 from metasyn.network import AccuracyTrace, Model, NetworkConfig
 
 BASE = NetworkConfig(n_in=32, n_out=32)
@@ -227,3 +230,40 @@ def test_seed_mean_stability_on_doubling():
     full = run_comparison(ExperimentSpec(seeds=tuple(range(10)), n_patterns=100), models)
     rel = abs(full.ratio_vs_binary - half.ratio_vs_binary) / full.ratio_vs_binary
     assert rel < 0.10
+
+
+# ---- lockstep hardware runs ----------------------------------------------------
+
+LOCKSTEP_BASE = NetworkConfig(n_in=16, n_out=16, connectivity=0.5, activity=0.5)
+
+
+@pytest.mark.parametrize(
+    "rule", [{}, {"q": 0.5, "updates_per_pattern": 3}], ids=["q1", "q0.5-upp3"]
+)
+@pytest.mark.parametrize("noise", [True, False], ids=["noisy", "quiet"])
+@pytest.mark.parametrize("experiment", ["compare", "sweep_size"])
+def test_lockstep_traces_equal_independent_runs(experiment, noise, rule):
+    """run_cells programs every hardware (cell, seed) run in one lockstep
+    group; each trace must be byte-identical to that run alone."""
+    base = replace(LOCKSTEP_BASE, **rule)
+    spec = ExperimentSpec(
+        base=base, seeds=(0, 1, 2), n_patterns=12, hardware=True, noise=noise,
+        size_grid=(16, 24),
+    )
+    if experiment == "compare":
+        result = run_comparison(spec, models=(Model.BINARY, Model.MULTISTATE))
+        cells = {f"hw_{m.value}": replace(base, model=m) for m in (Model.BINARY, Model.MULTISTATE)}
+    else:
+        result = sweep_size(spec)
+        cells = {str(n): replace(base, n_in=n, n_out=n) for n in spec.size_grid}
+    for label, cfg in cells.items():
+        assert len(result.traces[label]) == len(spec.seeds)
+        for seed, trace in zip(spec.seeds, result.traces[label]):
+            alone = run_lifetime_hw(
+                replace(cfg, seed=seed),
+                n_patterns=spec.n_patterns,
+                params=spec.params,
+                noise=spec.noise_for(seed),
+            )
+            assert trace.learning.tobytes() == alone.learning.tobytes()
+            assert trace.mean.tobytes() == alone.mean.tobytes()

@@ -8,6 +8,7 @@ from metasyn.network import (
     Model,
     NetworkConfig,
     Pattern,
+    correct_pattern,
     generate_patterns,
     make_pattern_set,
     run_lifetime,
@@ -161,6 +162,30 @@ def test_zero_error_leaves_network_unchanged():
     eff, lvl = net.eff.copy(), net.lvl.copy()
     net.train_on_pattern(Pattern(input_bits=x, target_bits=y))
     assert np.array_equal(eff, net.eff) and np.array_equal(lvl, net.lvl)
+
+
+def test_lockstep_run_stops_without_drawing_once_correct():
+    """In a lockstep group, a run whose outputs match gets no selection and
+    draws no q gate, while the run beside it keeps correcting."""
+    cfg = NetworkConfig(
+        n_in=8, n_out=4, connectivity=1.0, activity=0.5, seed=1, q=0.5, updates_per_pattern=3
+    )
+    done, busy = BehavioralNetwork.initialize(cfg), BehavioralNetwork.initialize(cfg)
+    x = np.zeros(8, dtype=np.uint8)
+    x[:4] = 1
+    y = done.forward(x)
+    state = done.train_rng.bit_generator.state
+    seen = []
+    correct_pattern(
+        [done, busy],
+        lambda k, rows: (done, busy)[k].forward_batch(rows),
+        lambda direction, selects: seen.append(selects),
+        [Pattern(input_bits=x, target_bits=y), Pattern(input_bits=x, target_bits=1 - y)],
+    )
+    # busy is never stepped, so it stays wrong for all three rounds
+    assert len(seen) == 2 * cfg.updates_per_pattern
+    assert all(sel[0] is None and sel[1] is not None for sel in seen)
+    assert done.train_rng.bit_generator.state == state
 
 
 def test_positive_error_potentiates_active_rows_only():
