@@ -200,14 +200,11 @@ def _clamp_unit(v):
     return np.minimum(np.maximum(0.0, v), 1.0)
 
 
-NoiseSegments = list[tuple[NoiseModel | None, int]]
-
-
 def integrate_pulse(
     x,
     pulse: PulseSpec,
     params: DeviceParams,
-    noise: NoiseModel | NoiseSegments | None = None,
+    noise: NoiseModel | list[tuple[NoiseModel | None, int]] | None = None,
 ):
     """Drive an array (or scalar) of states through one rectangular pulse.
 

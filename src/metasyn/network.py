@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .synapse import UpdateDirection, gradient_step, stochastic_gate, transition_arrays
+
+if TYPE_CHECKING:
+    from .crossbar import Crossbar
 
 
 class Model(str, Enum):
@@ -194,23 +197,15 @@ class BehavioralNetwork:
             transition_arrays(self.eff, self.lvl, self.cfg.effective_levels, direction, select)
 
 
-class Learner(Protocol):
-    """What the correction step needs of a run: its config, its mask and
-    the stream its q gates are drawn from."""
-
-    cfg: NetworkConfig
-    mask: np.ndarray
-    train_rng: np.random.Generator
-
-
 def correct_pattern(
-    runs: Sequence[Learner],
+    runs: Sequence[BehavioralNetwork | Crossbar],
     read: Callable[[int, np.ndarray], np.ndarray],
     step: Callable[[UpdateDirection, list[np.ndarray | None]], None],
     pats: Sequence[Pattern],
 ) -> None:
     """The correction step both network views train with, on several runs
-    in lockstep; run k trains on pats[k].
+    in lockstep; run k trains on pats[k].  A run supplies its ``cfg``, its
+    ``mask`` and the ``train_rng`` its q gates are drawn from.
 
     Each of up to updates_per_pattern rounds reads every live run's pattern
     back through ``read(k, rows)`` (a batch of one row); a run whose output
