@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .crossbar import ProgramEvent, run_lifetime_hw
+from .crossbar import EventLog, run_lifetime_hw
 from .device import (
     CalibrationError,
     DeviceParams,
@@ -37,6 +37,7 @@ from .experiments import (
     sweep_size,
 )
 from .network import Model, NetworkConfig
+from .synapse import chain_state
 
 SEED_OFFSET_VAR = "METASYN_SEED_OFFSET"
 
@@ -289,8 +290,8 @@ def write_metastate_table_csv(
     with _open_csv(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["efficacy", "metalevel", "x_plateau", "conductance_S"])
-        for state in table.chain_states():
-            x = table.x_for(state)
+        for index, x in enumerate(table.plateaus):
+            state = chain_state(index, table.n_levels)
             w.writerow(
                 [
                     "high" if state.efficacy else "low",
@@ -305,7 +306,8 @@ def _meta_label(state) -> str:
     return f"{'H' if state.efficacy else 'L'}{state.metalevel}"
 
 
-def write_events_csv(path: Path, events: list[ProgramEvent]) -> None:
+def write_events_csv(path: Path, events: EventLog, n_levels: int) -> None:
+    labels = [_meta_label(chain_state(i, n_levels)) for i in range(2 * n_levels)]
     with _open_csv(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(
@@ -320,19 +322,8 @@ def write_events_csv(path: Path, events: list[ProgramEvent]) -> None:
                 "meta_after",
             ]
         )
-        for ev in events:
-            w.writerow(
-                [
-                    ev.step,
-                    ev.phase,
-                    ev.row,
-                    ev.col,
-                    _fnum(ev.x_before),
-                    _fnum(ev.x_after),
-                    _meta_label(ev.meta_before),
-                    _meta_label(ev.meta_after),
-                ]
-            )
+        for step, phase, row, col, x0, x1, i0, i1 in events.rows():
+            w.writerow([step, phase, row, col, _fnum(x0), _fnum(x1), labels[i0], labels[i1]])
 
 
 # ---- SVG output ------------------------------------------------------------
@@ -466,7 +457,7 @@ def execute(cmd: str, cfg: RunConfig) -> int:
             f"dump-trace: {net_cfg.n_in}x{net_cfg.n_out} hardware run, "
             f"{cfg.n_patterns} pattern(s), seed {net_cfg.seed}"
         )
-        events: list[ProgramEvent] = []
+        events = EventLog()
         run_lifetime_hw(
             net_cfg,
             n_patterns=cfg.n_patterns,
@@ -475,7 +466,7 @@ def execute(cmd: str, cfg: RunConfig) -> int:
             event_log=events,
         )
         paths = [out / "events.csv"]
-        write_events_csv(paths[0], events)
+        write_events_csv(paths[0], events, net_cfg.effective_levels)
         _note(f"logged {len(events)} programming event(s)")
         return _emit(paths)
 

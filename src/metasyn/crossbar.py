@@ -13,7 +13,7 @@ and therefore moves nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -39,7 +39,7 @@ from .network import (
     make_pattern_set,
     seed_streams,
 )
-from .synapse import Efficacy, MetaState, UpdateDirection
+from .synapse import UpdateDirection
 
 
 class ComparatorMode(str, Enum):
@@ -65,18 +65,27 @@ class ComparatorConfig:
         ComparatorMode(self.mode)
 
 
-@dataclass(frozen=True)
-class ProgramEvent:
-    """One device programming event, for pulse-by-pulse training traces."""
+@dataclass
+class EventLog:
+    """Device programming events of one crossbar, stored by column.
 
-    step: int
-    phase: str
-    row: int
-    col: int
-    x_before: float
-    x_after: float
-    meta_before: MetaState
-    meta_after: MetaState
+    Each programming phase appends one block (step, phase, rows, cols,
+    x_before, x_after, index_before, index_after) whose arrays hold one
+    entry per programmed device; the indices are the decoded chain states.
+    len() is the number of events.
+    """
+
+    blocks: list[tuple] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return sum(block[2].size for block in self.blocks)
+
+    def rows(self):
+        """The events one by one, as (step, phase, row, col, x_before,
+        x_after, index_before, index_after) with Python scalars."""
+        for step, phase, *columns in self.blocks:
+            for values in zip(*(c.tolist() for c in columns)):
+                yield (step, phase, *values)
 
 
 class Crossbar:
@@ -89,7 +98,6 @@ class Crossbar:
         mask: np.ndarray,
         params: DeviceParams,
         table: MetastateTable,
-        comparator: ComparatorConfig,
         v_read: float = 0.3,
         noise: NoiseModel | None = None,
     ):
@@ -98,10 +106,8 @@ class Crossbar:
         self.mask = mask
         self.params = params
         self.table = table
-        self.comparator = comparator
         self.v_read = v_read
-        self.v_program = abs(table.pulse.amplitude)
-        self.v_half = self.v_program / 2.0
+        self.v_half = abs(table.pulse.amplitude) / 2.0
         self.noise = noise
         self.train_rng = np.random.default_rng(seed_streams(cfg.seed)["train"])
         if not abs(v_read) < params.v_off:
@@ -126,20 +132,16 @@ class Crossbar:
     def column_currents_batch(self, inputs: np.ndarray) -> np.ndarray:
         return self.v_read * (inputs.astype(np.float64) @ self.conductance_matrix())
 
-    def references(self) -> np.ndarray:
-        """Per-column comparator reference currents."""
-        return np.full(self.cfg.n_out, self.i_ref)
-
     def infer_batch(self, inputs: np.ndarray) -> np.ndarray:
-        currents = self.column_currents_batch(inputs)
-        return (currents > self.references()[np.newaxis, :]).astype(np.uint8)
+        """Every column compared against the one reference current."""
+        return (self.column_currents_batch(inputs) > self.i_ref).astype(np.uint8)
 
     # ---- program path ----------------------------------------------------
 
     def train_two_phase(
         self,
         pat: Pattern,
-        log: list[ProgramEvent] | None = None,
+        log: EventLog | None = None,
         step: int = 0,
     ) -> None:
         """One training presentation on this crossbar alone: the one-run
@@ -150,7 +152,7 @@ class Crossbar:
 def train_lockstep(
     crossbars: Sequence[Crossbar],
     pats: Sequence[Pattern],
-    log: list[ProgramEvent] | None = None,
+    log: EventLog | None = None,
     step: int = 0,
 ) -> None:
     """One training presentation per crossbar through :func:`correct_pattern`,
@@ -191,17 +193,10 @@ def train_lockstep(
         for xb, guarded, xs in zip(crossbars, guards, afters):
             xb.x[guarded] = xs
         if log is not None:
-            phase = direction.name.lower()
-            decode, state_at = first.table.decode_index, first.table.state_at
-            before, after = befores[0], afters[0]
-            log.extend(
-                ProgramEvent(
-                    step, phase, int(r), int(c), float(x0), float(x1),
-                    state_at(int(i0)), state_at(int(i1)),
-                )
-                for r, c, x0, x1, i0, i1 in zip(
-                    *np.nonzero(guards[0]), before, after, decode(before), decode(after)
-                )
+            decode, before, after = first.table.decode_index, befores[0], afters[0]
+            log.blocks.append(
+                (step, direction.name.lower(), *np.nonzero(guards[0]),
+                 before, after, decode(before), decode(after))
             )
 
     correct_pattern(crossbars, lambda k, rows: crossbars[k].infer_batch(rows), pulse, pats)
@@ -235,7 +230,6 @@ def init_crossbar(
     cfg: NetworkConfig,
     params: DeviceParams | None = None,
     table: MetastateTable | None = None,
-    comparator: ComparatorConfig | None = None,
     v_read: float = 0.3,
     noise: NoiseModel | None = None,
 ) -> Crossbar:
@@ -244,7 +238,7 @@ def init_crossbar(
     The mask and the random high/low efficacy assignment are drawn from the
     same config-derived stream the behavioral model uses, so both paths
     start from identical synapses.  Connected devices are programmed to
-    their metalevel-0 plateau; pruned crosspoints sit at x = 0.
+    the plateau of their chain index; pruned crosspoints sit at x = 0.
     """
     if cfg.model is Model.GRADIENT:
         raise ValueError("the gradient model has no crossbar realization")
@@ -257,14 +251,14 @@ def init_crossbar(
     if table.n_levels != cfg.effective_levels:
         raise ValueError("table level count does not match the config")
     net = BehavioralNetwork.initialize(cfg)
-    n = table.n_levels
     x = np.zeros((cfg.n_in, cfg.n_out))
-    x_low = table.x_for(MetaState(Efficacy.LOW, 0, n))
-    x_high = table.x_for(MetaState(Efficacy.HIGH, 0, n))
-    x[net.mask] = np.where(net.eff[net.mask] == 1, x_high, x_low)
+    x[net.mask] = table.plateaus[net.state[net.mask]]
+    return Crossbar(cfg, x, net.mask, params, table, v_read, noise)
 
-    cmp = comparator if comparator is not None else ComparatorConfig()
-    return Crossbar(cfg, x, net.mask, params, table, cmp, v_read, noise)
+
+def seeded_noise(seed: int, sigma: float = NoiseModel.sigma, enabled: bool = True) -> NoiseModel:
+    """Programming noise of one hardware run, on the seed's own noise stream."""
+    return NoiseModel(sigma=sigma, enabled=enabled, rng_seed=seed_streams(seed)["noise"])
 
 
 def run_lifetime_hw(
@@ -273,14 +267,16 @@ def run_lifetime_hw(
     params: DeviceParams | None = None,
     comparator: ComparatorConfig | None = None,
     noise: NoiseModel | Sequence[NoiseModel | None] | str | None = "default",
-    event_log: list[ProgramEvent] | None = None,
+    event_log: EventLog | None = None,
 ) -> AccuracyTrace | list[AccuracyTrace]:
     """Hardware lifetime run under the same protocol as the behavioral path.
 
     Patterns and the initial synapse assignment are identical to the
     behavioral run with the same config; only inference and updates go
-    through the device model.  Programming noise defaults to sigma = 0.25
-    on a stream derived from cfg.seed; pass NoiseModel.off() to disable.
+    through the device model.  Programming noise defaults to
+    :func:`seeded_noise` of cfg.seed; pass NoiseModel.off() to disable.
+    comparator names the column decision rule; its only mode, the fixed
+    reference, is the one every crossbar uses.
 
     Given a sequence of configs, the runs go in lockstep through
     :func:`train_lockstep` and one trace per config comes back, each equal
@@ -290,15 +286,12 @@ def run_lifetime_hw(
     one = isinstance(cfg, NetworkConfig)
     cfgs = [cfg] if one else list(cfg)
     if noise == "default":
-        noises = [NoiseModel(rng_seed=seed_streams(c.seed)["noise"]) for c in cfgs]
+        noises = [seeded_noise(c.seed) for c in cfgs]
     else:
         noises = [noise] if one else list(noise)
         if len(noises) != len(cfgs):
             raise ValueError("need one noise model per config")
-    crossbars = [
-        init_crossbar(c, params=params, comparator=comparator, noise=n)
-        for c, n in zip(cfgs, noises)
-    ]
+    crossbars = [init_crossbar(c, params=params, noise=n) for c, n in zip(cfgs, noises)]
     counter = iter(range(n_patterns))
 
     def step(pats: list[Pattern]) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .synapse import Efficacy, MetaState, UpdateDirection
+from .synapse import MetaState, UpdateDirection, chain_index, chain_state
 
 # Pulse rate constants (k_off = -k_on) for the default pulse shape (1.2 V,
 # 15 us, 0.1 us steps) and window (tau = 2.0, p = 2).  The default value
@@ -269,8 +269,9 @@ def integrate_pulse(
 class MetastateTable:
     """Calibrated map between chain states and device state plateaus.
 
-    Plateaus ascend along the chain: deepest low metalevel first, then up
-    through (low, 0) and (high, 0) to the deepest high metalevel.
+    Plateaus ascend along the chain, so plateau i realises chain index i
+    (:func:`~metasyn.synapse.chain_index`): deepest low metalevel first, then
+    up through (low, 0) and (high, 0) to the deepest high metalevel.
     """
 
     n_levels: int
@@ -281,25 +282,8 @@ class MetastateTable:
         if len(self.plateaus) != 2 * self.n_levels:
             raise ValueError("need exactly 2*n_levels plateaus")
 
-    def chain_states(self) -> list[MetaState]:
-        n = self.n_levels
-        lows = [MetaState(Efficacy.LOW, n - 1 - i, n) for i in range(n)]
-        highs = [MetaState(Efficacy.HIGH, i, n) for i in range(n)]
-        return lows + highs
-
-    def index_of(self, state: MetaState) -> int:
-        if state.efficacy is Efficacy.LOW:
-            return self.n_levels - 1 - state.metalevel
-        return self.n_levels + state.metalevel
-
-    def state_at(self, index: int) -> MetaState:
-        n = self.n_levels
-        if index < n:
-            return MetaState(Efficacy.LOW, n - 1 - index, n)
-        return MetaState(Efficacy.HIGH, index - n, n)
-
     def x_for(self, state: MetaState) -> float:
-        return float(self.plateaus[self.index_of(state)])
+        return float(self.plateaus[chain_index(state)])
 
     def decode_index(self, x):
         """Nearest plateau; exact midpoint ties resolve to the lower plateau."""
@@ -325,7 +309,7 @@ class MetastateTable:
 
 def decode_metastate(state: DeviceState | float, table: MetastateTable) -> MetaState:
     x = state.x if isinstance(state, DeviceState) else float(state)
-    return table.state_at(table.decode_index(x))
+    return chain_state(table.decode_index(x), table.n_levels)
 
 
 def _pulse_train(x0: np.ndarray, count: int, pulse: PulseSpec, params: DeviceParams) -> np.ndarray:
@@ -438,12 +422,10 @@ def calibrate_metastate_table(
 
 
 def flip_conductances(table: MetastateTable, params: DeviceParams) -> tuple[float, float]:
-    """Conductances of the (low, 0) and (high, 0) plateaus, the two states an
-    efficacy flip moves between."""
+    """Conductances of the (low, 0) and (high, 0) plateaus, chain indices
+    n - 1 and n, the two states an efficacy flip moves between."""
     n = table.n_levels
-    g_low = conductance(table.x_for(MetaState(Efficacy.LOW, 0, n)), params)
-    g_high = conductance(table.x_for(MetaState(Efficacy.HIGH, 0, n)), params)
-    return g_low, g_high
+    return conductance(table.plateaus[n - 1], params), conductance(table.plateaus[n], params)
 
 
 def metastate_ratio(table: MetastateTable, params: DeviceParams) -> float:

@@ -13,16 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .crossbar import run_lifetime_hw
+from .crossbar import run_lifetime_hw, seeded_noise
 from .device import DeviceParams, NoiseModel
-from .network import (
-    AccuracyTrace,
-    Model,
-    NetworkConfig,
-    _round_half_up,
-    run_lifetime,
-    seed_streams,
-)
+from .network import AccuracyTrace, Model, NetworkConfig, run_lifetime
 
 
 # entry-wise range of each grid: (description, check); NaN fails every check
@@ -54,7 +47,7 @@ class ExperimentSpec:
     c_grid: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9)
     f_grid: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9)
     params: DeviceParams = field(default_factory=DeviceParams)
-    sigma: float = 0.25
+    sigma: float = NoiseModel.sigma
     noise: bool = True
 
     def __post_init__(self) -> None:
@@ -74,9 +67,7 @@ class ExperimentSpec:
 
     def noise_for(self, seed: int) -> NoiseModel:
         """Programming noise of one hardware run, on the seed's own stream."""
-        return NoiseModel(
-            sigma=self.sigma, enabled=self.noise, rng_seed=seed_streams(seed)["noise"]
-        )
+        return seeded_noise(seed, self.sigma, self.noise)
 
 
 @dataclass(frozen=True)
@@ -231,26 +222,26 @@ def sweep_size(spec: ExperimentSpec) -> SweepResult:
     return run_cells(spec, cells, ("size",), (tuple(spec.size_grid),))
 
 
-def _cf_cell_valid(cfg: NetworkConfig, c: float, f: float) -> bool:
-    """A (C, f) cell is computable only if it rounds to at least one active
-    input bit, one active target bit, and one connected synapse."""
-    return (
-        _round_half_up(f * cfg.n_in) >= 1
-        and _round_half_up(f * cfg.n_out) >= 1
-        and _round_half_up(c * cfg.n_in * cfg.n_out) >= 1
-    )
+def _cf_cell(base: NetworkConfig, c: float, f: float) -> NetworkConfig | None:
+    """The config of one (C, f) cell, or None if NetworkConfig rejects it."""
+    try:
+        return replace(base, connectivity=c, activity=f)
+    except ValueError:
+        return None
 
 
 def sweep_cf(spec: ExperimentSpec) -> SweepResult:
     """Grid of end-of-run accuracies over (connectivity, activity); cells
-    that round to no active bit or no synapse stay NaN and invalid."""
+    whose config NetworkConfig rejects (no active bit or no synapse) stay
+    NaN and invalid."""
     grid = (tuple(spec.c_grid), tuple(spec.f_grid))
     points = [(c, f) for c in spec.c_grid for f in spec.f_grid]
-    valid = np.array([_cf_cell_valid(spec.base, c, f) for c, f in points])
+    cfgs = [_cf_cell(spec.base, c, f) for c, f in points]
+    valid = np.array([cfg is not None for cfg in cfgs])
     cells = [
-        (f"C{c:g}_f{f:g}", replace(spec.base, connectivity=c, activity=f), spec.hardware)
-        for (c, f), ok in zip(points, valid)
-        if ok
+        (f"C{c:g}_f{f:g}", cfg, spec.hardware)
+        for (c, f), cfg in zip(points, cfgs)
+        if cfg is not None
     ]
     return run_cells(
         spec, cells, ("connectivity", "activity"), grid, valid.reshape(len(grid[0]), -1)

@@ -53,8 +53,9 @@ class NetworkConfig:
             raise ValueError(f"connectivity must lie in (0, 1], got {self.connectivity}")
         if not 0.0 < self.activity < 1.0:
             raise ValueError(f"activity must lie in (0, 1), got {self.activity}")
-        if self.n_levels < 1:
-            raise ValueError("n_levels must be >= 1")
+        # chain indices up to 2 * n_levels - 1 are stored as int64
+        if not 1 <= self.n_levels <= 2**62:
+            raise ValueError(f"n_levels must lie in [1, 2**62], got {self.n_levels}")
         if self.updates_per_pattern < 1:
             raise ValueError("updates_per_pattern must be >= 1")
         if not 0.0 < self.q <= 1.0:
@@ -64,7 +65,9 @@ class NetworkConfig:
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.n_ones_in < 1:
-            raise ValueError("activity too low: patterns would have no active bits")
+            raise ValueError("activity too low: input patterns would have no active bits")
+        if _round_half_up(self.activity * self.n_out) < 1:
+            raise ValueError("activity too low: target patterns would have no active bits")
         if self.n_connected < 1:
             raise ValueError("connectivity too low: mask would have no synapses")
 
@@ -132,48 +135,46 @@ def make_pattern_set(cfg: NetworkConfig, count: int) -> list[Pattern]:
 
 
 class BehavioralNetwork:
-    """State arrays plus the update rules for one model variant."""
+    """State arrays plus the update rules for one model variant: the chain
+    index of every synapse, or the analog weights of the gradient model."""
 
     def __init__(
         self,
         cfg: NetworkConfig,
         mask: np.ndarray,
-        eff: np.ndarray,
-        lvl: np.ndarray,
+        state: np.ndarray,
         weights: np.ndarray | None,
         train_rng: np.random.Generator,
     ):
         self.cfg = cfg
         self.mask = mask
-        self.eff = eff
-        self.lvl = lvl
+        self.state = state
         self.weights = weights
         self.train_rng = train_rng
 
     @classmethod
     def initialize(cls, cfg: NetworkConfig) -> "BehavioralNetwork":
         """Random mask with exactly n_connected entries; connected synapses
-        start at a uniform-random efficacy on metalevel 0 (or a uniform
-        weight in [0, 1] for the gradient model)."""
+        start at a uniform-random efficacy on metalevel 0, chain index n - 1
+        or n (or a uniform weight in [0, 1] for the gradient model)."""
         streams = seed_streams(cfg.seed)
         rng = np.random.default_rng(streams["init"])
         flat = rng.choice(cfg.n_in * cfg.n_out, size=cfg.n_connected, replace=False)
         mask = np.zeros(cfg.n_in * cfg.n_out, dtype=bool)
         mask[flat] = True
         mask = mask.reshape(cfg.n_in, cfg.n_out)
-        eff = np.zeros((cfg.n_in, cfg.n_out), dtype=np.int8)
-        lvl = np.zeros((cfg.n_in, cfg.n_out), dtype=np.int8)
+        state = np.full((cfg.n_in, cfg.n_out), cfg.effective_levels - 1, dtype=np.int64)
         weights = None
         if cfg.model is Model.GRADIENT:
             weights = np.where(mask, rng.uniform(0.0, 1.0, mask.shape), 0.0)
         else:
-            eff[mask] = rng.integers(0, 2, size=cfg.n_connected, dtype=np.int8)
-        return cls(cfg, mask, eff, lvl, weights, np.random.default_rng(streams["train"]))
+            state[mask] += rng.integers(0, 2, size=cfg.n_connected, dtype=np.int8)
+        return cls(cfg, mask, state, weights, np.random.default_rng(streams["train"]))
 
     def efficacy_matrix(self) -> np.ndarray:
         if self.cfg.model is Model.GRADIENT:
             return np.where(self.mask, self.weights > 0.5, False).astype(np.float64)
-        return (self.mask & (self.eff == 1)).astype(np.float64)
+        return (self.mask & (self.state >= self.cfg.effective_levels)).astype(np.float64)
 
     def forward(self, input_bits: np.ndarray) -> np.ndarray:
         return self.forward_batch(input_bits[np.newaxis, :])[0]
@@ -194,7 +195,7 @@ class BehavioralNetwork:
         if self.cfg.model is Model.GRADIENT:
             gradient_step(self.weights, direction, select, self.cfg.learning_rate)
         else:
-            transition_arrays(self.eff, self.lvl, self.cfg.effective_levels, direction, select)
+            transition_arrays(self.state, self.cfg.effective_levels, direction, select)
 
 
 def correct_pattern(

@@ -7,6 +7,9 @@ carries a binary efficacy (low/high) plus a metalevel that counts how deep
 the synapse sits on its side of the chain.  Plasticity events walk the chain
 one state at a time, so the efficacy can only flip from metalevel 0 and the
 deepest metalevel on each side absorbs further same-direction events.
+
+Arrays of synapses store each state as its chain index (:func:`chain_index`),
+the same index the memristor realises as its ascending conductance plateaus.
 """
 
 from __future__ import annotations
@@ -58,19 +61,19 @@ def transition(state: MetaState, direction: UpdateDirection) -> MetaState:
     deepest metalevel saturates instead of wrapping.
     """
     n = state.n_levels
-    eff, lvl = state.efficacy, state.metalevel
+    efficacy, level = state.efficacy, state.metalevel
     if direction is UpdateDirection.POTENTIATE:
-        if eff is Efficacy.LOW:
-            if lvl > 0:
-                return MetaState(Efficacy.LOW, lvl - 1, n)
+        if efficacy is Efficacy.LOW:
+            if level > 0:
+                return MetaState(Efficacy.LOW, level - 1, n)
             return MetaState(Efficacy.HIGH, 0, n)
-        return MetaState(Efficacy.HIGH, min(lvl + 1, n - 1), n)
+        return MetaState(Efficacy.HIGH, min(level + 1, n - 1), n)
     else:
-        if eff is Efficacy.HIGH:
-            if lvl > 0:
-                return MetaState(Efficacy.HIGH, lvl - 1, n)
+        if efficacy is Efficacy.HIGH:
+            if level > 0:
+                return MetaState(Efficacy.HIGH, level - 1, n)
             return MetaState(Efficacy.LOW, 0, n)
-        return MetaState(Efficacy.LOW, min(lvl + 1, n - 1), n)
+        return MetaState(Efficacy.LOW, min(level + 1, n - 1), n)
 
 
 def stochastic_gate(
@@ -87,28 +90,35 @@ def stochastic_gate(
     return select & (rng.random(select.shape) < q)
 
 
+def chain_index(state: MetaState) -> int:
+    """Position of a state on the chain: 0 is the deepest low state, 2n-1
+    the deepest high state, and the efficacy is high from index n on."""
+    n = state.n_levels
+    return n + state.metalevel if state.efficacy else n - 1 - state.metalevel
+
+
+def chain_state(index: int, n_levels: int) -> MetaState:
+    """The state at one chain index; the inverse of :func:`chain_index`."""
+    if index >= n_levels:
+        return MetaState(Efficacy.HIGH, index - n_levels, n_levels)
+    return MetaState(Efficacy.LOW, n_levels - 1 - index, n_levels)
+
+
 def transition_arrays(
-    eff: np.ndarray,
-    lvl: np.ndarray,
+    state: np.ndarray,
     n_levels: int,
     direction: UpdateDirection,
     select: np.ndarray,
 ) -> None:
-    """Vectorised twin of :func:`transition` acting in place on state arrays.
+    """Vectorised twin of :func:`transition` acting in place on chain indices.
 
-    ``eff`` and ``lvl`` are integer arrays of matching shape; only entries
-    where ``select`` is True are updated.
+    On the chain index every step of :func:`transition` is a saturating +1
+    (potentiate) or -1 (depress); only entries where ``select`` is True move.
     """
     if direction is UpdateDirection.POTENTIATE:
-        toward, away = eff == 1, eff == 0
+        np.minimum(state + 1, 2 * n_levels - 1, out=state, where=select)
     else:
-        toward, away = eff == 0, eff == 1
-    climb = select & away & (lvl > 0)
-    flip = select & away & (lvl == 0)
-    sink = select & toward
-    lvl[climb] -= 1
-    eff[flip] = 1 if direction is UpdateDirection.POTENTIATE else 0
-    np.minimum(lvl + 1, n_levels - 1, out=lvl, where=sink)
+        np.maximum(state - 1, 0, out=state, where=select)
 
 
 def gradient_step(

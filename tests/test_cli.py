@@ -2,6 +2,7 @@
 deterministic reruns, and the seed-offset environment knob."""
 
 import csv
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,13 @@ def test_cross_field_error_names_the_key():
     # g_on below the default g_off: rejected at parse time, not at run time
     with pytest.raises(ConfigError, match=r"^line 1: 'g_on'"):
         parse_config("g_on = 1e-8\n")
+
+
+def test_target_activity_rejection_names_the_line():
+    # activity 0.3 on one output rounds to no active target bit; the config
+    # used to parse and the run to fail later, in pattern generation
+    with pytest.raises(ConfigError, match=r"^line 1: 'n_out' rejected: .*target patterns"):
+        parse_config("n_out = 1\nactivity = 0.3\n")
 
 
 def test_rejected_value_blames_the_key_that_breaks_it():
@@ -379,6 +387,31 @@ def test_dump_trace_events(tmp_path, monkeypatch):
     for r in rows[1:]:
         assert r[1] in ("potentiate", "depress")
         assert r[6][0] in "LH" and r[7][0] in "LH"
+
+
+def test_sweep_cf_bytes_with_target_only_invalid_cells(tmp_path, monkeypatch):
+    """f = 0.1 gives 2 active input bits but no active target bit on 4
+    outputs; those cells are invalid by NetworkConfig's rule alone.  The
+    digest is that of the output before the rule moved there."""
+    monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
+    cfg = parse_config(
+        "n_in = 16\nn_out = 4\nconnectivity = 0.5\nseeds = 0, 1\nn_patterns = 5\n"
+        f"c_grid = 0.25, 0.5\nf_grid = 0.1, 0.5\nout_dir = {tmp_path}\n"
+    )
+    assert execute("sweep-cf", cfg) == 0
+    digest = hashlib.sha256((tmp_path / "cf_grid.csv").read_bytes()).hexdigest()
+    assert digest == "59ee24d57460db2afe53a3000786b847650a12df8254d87e4d1e35b81b1a4c6f"
+
+
+def test_run_with_chain_past_int8(tmp_path, capsys, monkeypatch):
+    # n_levels >= 129 used to end in an uncaught OverflowError traceback
+    monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
+    cfgfile = tmp_path / "long.cfg"
+    cfgfile.write_text(
+        TINY + f"n_levels = 129\nout_dir = {tmp_path / 'out'}\n", encoding="utf-8"
+    )
+    assert main(["run", str(cfgfile)]) == 0
+    assert "traces.csv" in capsys.readouterr().out
 
 
 # At C = f = 0.25 programming noise moves none of the five accuracies of a

@@ -1,14 +1,18 @@
 """Crossbar emulation tests: current summation, comparator references,
 programming protection, and the exact reduction to the behavioral model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from metasyn.crossbar import (
     ComparatorConfig,
     ComparatorMode,
     Crossbar,
-    ProgramEvent,
+    EventLog,
     init_crossbar,
     reference_current_level,
     run_lifetime_hw,
@@ -21,7 +25,7 @@ from metasyn.device import (
     conductance,
 )
 from metasyn.network import Model, NetworkConfig, make_pattern_set, run_lifetime
-from metasyn.synapse import Efficacy, MetaState, UpdateDirection, transition
+from metasyn.synapse import Efficacy, MetaState, UpdateDirection, chain_state, transition
 
 SMALL = NetworkConfig(n_in=5, n_out=3, connectivity=0.6, activity=0.5, seed=9)
 
@@ -84,7 +88,10 @@ def test_fixed_reference_is_calibrated_level(xb_small):
     xb = xb_small
     level = reference_current_level(xb.table, xb.params, xb.cfg, xb.v_read)
     assert xb.i_ref == pytest.approx(level, rel=1e-12)
-    assert np.all(xb.references() == xb.i_ref)
+    # every column fires exactly when its current exceeds that one level
+    inputs = (np.random.default_rng(1).random((30, 5)) < 0.5).astype(np.uint8)
+    fires = xb.column_currents_batch(inputs) > level
+    assert np.array_equal(xb.infer_batch(inputs), fires.astype(np.uint8))
 
 
 def test_comparator_config_validation():
@@ -107,7 +114,7 @@ def test_initial_state_mirrors_behavioral():
     x_low = xb.table.x_for(MetaState(Efficacy.LOW, 0, n))
     x_high = xb.table.x_for(MetaState(Efficacy.HIGH, 0, n))
     expect_x = np.zeros_like(xb.x)
-    expect_x[net.mask] = np.where(net.eff[net.mask] == 1, x_high, x_low)
+    expect_x[net.mask] = np.where(net.state[net.mask] >= n, x_high, x_low)
     assert np.array_equal(xb.x, expect_x)
 
 
@@ -139,17 +146,18 @@ def test_event_log_matches_state_machine():
     cfg = NetworkConfig(n_in=16, n_out=16, seed=8)
     xb = init_crossbar(cfg, noise=NoiseModel.off())
     pats = make_pattern_set(cfg, 5)
-    events: list[ProgramEvent] = []
+    n = xb.table.n_levels
+    events = EventLog()
     for step, pat in enumerate(pats):
         xb.train_two_phase(pat, log=events, step=step)
-    assert events, "training produced no programming events"
-    for ev in events:
-        d = (
-            UpdateDirection.POTENTIATE
-            if ev.phase == "potentiate"
-            else UpdateDirection.DEPRESS
-        )
-        assert ev.meta_after == transition(ev.meta_before, d)
+    rows = list(events.rows())
+    assert rows, "training produced no programming events"
+    assert len(events) == len(rows)
+    for _, phase, _, _, x0, x1, i0, i1 in rows:
+        d = UpdateDirection.POTENTIATE if phase == "potentiate" else UpdateDirection.DEPRESS
+        assert (i0, i1) == (xb.table.decode_index(x0), xb.table.decode_index(x1))
+        # checked against the scalar reference, not the vector rule
+        assert chain_state(i1, n) == transition(chain_state(i0, n), d)
 
 
 def test_nan_sigma_rejected_before_a_hardware_run():
@@ -184,7 +192,7 @@ def test_lockstep_rejects_what_it_cannot_share():
     with pytest.raises(ValueError, match="one noise model per config"):
         run_lifetime_hw(cfgs, n_patterns=2, noise=[NoiseModel.off()])
     with pytest.raises(ValueError, match="one crossbar"):
-        run_lifetime_hw(cfgs, n_patterns=2, event_log=[])
+        run_lifetime_hw(cfgs, n_patterns=2, event_log=EventLog())
     a = init_crossbar(SMALL)
     b = init_crossbar(SMALL, params=DeviceParams(g_off=2e-7))
     pat = make_pattern_set(SMALL, 1)[0]
@@ -225,6 +233,43 @@ def test_ideal_reduction_equals_behavioral_exactly(n, c, f, q):
     sw = run_lifetime(cfg, n_patterns=40)
     assert np.array_equal(hw.learning, sw.learning)
     assert np.array_equal(hw.mean, sw.mean)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_in=st.integers(1, 64),
+    n_out=st.integers(1, 48),
+    connectivity=st.floats(0.02, 1.0),
+    activity=st.floats(0.02, 0.98),
+    n_levels=st.integers(1, 4),
+    q=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    updates_per_pattern=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    n_patterns=st.integers(1, 15),
+)
+def test_exact_reductions_hold_for_every_accepted_config(
+    n_in, n_out, connectivity, activity, n_levels, q, updates_per_pattern, seed, n_patterns
+):
+    """Both exact reductions on random accepted configs: ideal hardware
+    (idealized device, noise off, fixed reference) equals the behavioral
+    run, and a one-metalevel multistate run equals the binary run."""
+    try:
+        cfg = NetworkConfig(
+            n_in=n_in, n_out=n_out, connectivity=connectivity, activity=activity,
+            n_levels=n_levels, q=q, updates_per_pattern=updates_per_pattern, seed=seed,
+        )
+    except ValueError:
+        assume(False)  # rejected configs are outside both contracts
+    sw = run_lifetime(cfg, n_patterns=n_patterns)
+    hw = run_lifetime_hw(
+        cfg, n_patterns=n_patterns, params=DeviceParams.idealized(), noise=NoiseModel.off()
+    )
+    assert hw.learning.tobytes() == sw.learning.tobytes()
+    assert hw.mean.tobytes() == sw.mean.tobytes()
+    one = run_lifetime(replace(cfg, n_levels=1), n_patterns=n_patterns)
+    binary = run_lifetime(replace(cfg, model=Model.BINARY), n_patterns=n_patterns)
+    assert one.learning.tobytes() == binary.learning.tobytes()
+    assert one.mean.tobytes() == binary.mean.tobytes()
 
 
 def test_read_voltage_must_stay_subthreshold():

@@ -23,7 +23,14 @@ from metasyn.device import (
     window,
 )
 from metasyn.device import _find_anchor
-from metasyn.synapse import Efficacy, MetaState, UpdateDirection, transition
+from metasyn.synapse import (
+    Efficacy,
+    MetaState,
+    UpdateDirection,
+    chain_index,
+    chain_state,
+    transition,
+)
 
 POT = UpdateDirection.POTENTIATE
 DEP = UpdateDirection.DEPRESS
@@ -361,7 +368,7 @@ def test_plateau_on_a_rail_is_rejected(k):
 def test_decode_at_plateaus(table):
     for idx, x in enumerate(table.plateaus):
         assert int(table.decode_index(x)) == idx
-        assert decode_metastate(DeviceState(x=float(x)), table) == table.state_at(idx)
+        assert decode_metastate(DeviceState(x=float(x)), table) == chain_state(idx, 3)
 
 
 def test_decode_nearest_with_ties_down(table):
@@ -373,11 +380,14 @@ def test_decode_nearest_with_ties_down(table):
 
 
 def test_chain_state_order(table):
-    states = table.chain_states()
+    # plateau i realises chain index i, deepest low state first
+    states = [chain_state(i, table.n_levels) for i in range(len(table.plateaus))]
     assert states[0] == MetaState(Efficacy.LOW, 2, 3)
     assert states[2] == MetaState(Efficacy.LOW, 0, 3)
     assert states[3] == MetaState(Efficacy.HIGH, 0, 3)
     assert states[5] == MetaState(Efficacy.HIGH, 2, 3)
+    for i, state in enumerate(states):
+        assert table.x_for(state) == float(table.plateaus[i])
 
 
 # ---- single-pulse adjacency and programming -----------------------------------
@@ -454,7 +464,7 @@ def test_noisy_programming_mostly_tracks_noise_free(params, table):
             guard = table.verify(xs, d)
             segments = [(noise, int(g)) for noise, g in zip(noises, guard)]
             xs[guard] = integrate_pulse(xs[guard], table.pulse_for(d), params, segments)
-        agree += int(np.sum(table.decode_index(xs) == table.index_of(clean)))
+        agree += int(np.sum(table.decode_index(xs) == chain_index(clean)))
         trials += len(noises)
     assert agree / trials >= 0.95
 

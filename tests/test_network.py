@@ -1,5 +1,7 @@
 """Behavioral network tests: patterns, inference, training, lifetime runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,23 @@ def test_config_validation():
         NetworkConfig(activity=1.0)
     with pytest.raises(ValueError):
         NetworkConfig(n_in=4, activity=0.01)  # rounds to zero active bits
+    with pytest.raises(ValueError, match="target patterns"):
+        NetworkConfig(n_out=1, activity=0.3)  # no active target bit
     with pytest.raises(ValueError):
         NetworkConfig(q=0.0)
+
+
+def test_chain_longer_than_int8_runs():
+    """n_levels = 129 puts chain index 2n - 1 = 257 past int8.  In 20
+    patterns no synapse moves more than 20 steps from metalevel 0, so the
+    chain end is never reached and the trace equals a longer chain's."""
+    cfg = NetworkConfig(n_in=32, n_out=32, n_levels=129, seed=3)
+    a = run_lifetime(cfg, n_patterns=20)
+    b = run_lifetime(replace(cfg, n_levels=300), n_patterns=20)
+    assert a.learning.tobytes() == b.learning.tobytes()
+    assert a.mean.tobytes() == b.mean.tobytes()
+    with pytest.raises(ValueError, match="n_levels"):
+        NetworkConfig(n_levels=2**62 + 1)
 
 
 def test_effective_levels():
@@ -84,15 +101,17 @@ def test_connected_count_exact():
 
 
 def test_initial_metalevels_zero():
+    # chain indices n - 1 and n are (low, 0) and (high, 0)
     net = BehavioralNetwork.initialize(NetworkConfig(seed=5))
-    assert np.all(net.lvl[net.mask] == 0)
+    n = net.cfg.n_levels
+    assert np.all(np.isin(net.state[net.mask], (n - 1, n)))
 
 
 def test_initial_efficacy_balanced_within_3_sigma():
     # Binomial(4096, 1/2): 3 sigma = 96
     for seed in range(5):
         net = BehavioralNetwork.initialize(NetworkConfig(seed=seed))
-        highs = int(net.eff[net.mask].sum())
+        highs = int((net.state[net.mask] >= net.cfg.n_levels).sum())
         assert abs(highs - 2048) <= 96
 
 
@@ -109,14 +128,15 @@ def test_forward_threshold_strict():
     cfg = NetworkConfig()
     net = BehavioralNetwork.initialize(cfg)
     # construct a column with exactly 5 active high synapses, another with 4
+    low0, high0 = cfg.n_levels - 1, cfg.n_levels
     net.mask[:] = False
-    net.eff[:] = 0
+    net.state[:] = low0
     x = np.zeros(128, dtype=np.uint8)
     x[:8] = 1
     net.mask[:5, 0] = True
-    net.eff[:5, 0] = 1
+    net.state[:5, 0] = high0
     net.mask[:4, 1] = True
-    net.eff[:4, 1] = 1
+    net.state[:4, 1] = high0
     out = net.forward(x)
     assert out[0] == 1  # 5 > theta = 4
     assert out[1] == 0  # 4 > 4 is false
@@ -138,7 +158,7 @@ def test_forward_matches_brute_force_small():
         expected = []
         for j in range(3):
             acc = sum(
-                int(x[i]) * int(net.mask[i, j]) * int(net.eff[i, j])
+                int(x[i]) * int(net.mask[i, j]) * int(net.state[i, j] >= cfg.n_levels)
                 for i in range(5)
             )
             expected.append(1 if acc > cfg.theta else 0)
@@ -159,9 +179,9 @@ def test_zero_error_leaves_network_unchanged():
     x = np.zeros(8, dtype=np.uint8)
     x[:4] = 1
     y = net.forward(x)
-    eff, lvl = net.eff.copy(), net.lvl.copy()
+    state = net.state.copy()
     net.train_on_pattern(Pattern(input_bits=x, target_bits=y))
-    assert np.array_equal(eff, net.eff) and np.array_equal(lvl, net.lvl)
+    assert np.array_equal(state, net.state)
 
 
 def test_lockstep_run_stops_without_drawing_once_correct():
@@ -190,38 +210,38 @@ def test_lockstep_run_stops_without_drawing_once_correct():
 
 def test_positive_error_potentiates_active_rows_only():
     cfg, net = _tiny_net()
-    net.eff[:] = 0
-    net.lvl[:] = 0
+    low0, high0 = cfg.n_levels - 1, cfg.n_levels
+    net.state[:] = low0
     x = np.zeros(8, dtype=np.uint8)
     x[:4] = 1
     target = np.ones(4, dtype=np.uint8)
     net.train_on_pattern(Pattern(input_bits=x, target_bits=target))
     # active presynaptic rows flipped low->high, inactive rows untouched
-    assert np.all(net.eff[:4, :] == 1)
-    assert np.all(net.eff[4:, :] == 0)
+    assert np.all(net.state[:4, :] == high0)
+    assert np.all(net.state[4:, :] == low0)
 
 
 def test_negative_error_depresses():
     cfg, net = _tiny_net()
-    net.eff[:] = 1
-    net.lvl[:] = 0
+    low0, high0 = cfg.n_levels - 1, cfg.n_levels
+    net.state[:] = high0
     x = np.zeros(8, dtype=np.uint8)
     x[:4] = 1
     target = np.zeros(4, dtype=np.uint8)
     net.train_on_pattern(Pattern(input_bits=x, target_bits=target))
-    assert np.all(net.eff[:4, :] == 0)
-    assert np.all(net.eff[4:, :] == 1)
+    assert np.all(net.state[:4, :] == low0)
+    assert np.all(net.state[4:, :] == high0)
 
 
 def test_deep_metalevel_shields_efficacy():
     cfg, net = _tiny_net()
-    net.eff[:] = 1
-    net.lvl[:] = 2
+    n = cfg.n_levels
+    net.state[:] = n + 2  # (high, 2)
     x = np.ones(8, dtype=np.uint8)
     target = np.zeros(4, dtype=np.uint8)
     net.train_on_pattern(Pattern(input_bits=x, target_bits=target))
-    assert np.all(net.eff == 1)
-    assert np.all(net.lvl[net.mask] == 1)
+    assert np.all(net.state >= n)
+    assert np.all(net.state[net.mask] == n + 1)  # (high, 1)
 
 
 # ---- lifetime bookkeeping ------------------------------------------------------------
@@ -288,26 +308,26 @@ def test_connected_set_fixed_and_unconnected_untouched_by_training():
     cfg = NetworkConfig(n_in=16, n_out=8, connectivity=0.5, activity=0.5, seed=4)
     net = BehavioralNetwork.initialize(cfg)
     mask0 = net.mask.copy()
-    eff_off = net.eff[~mask0].copy()
-    lvl_off = net.lvl[~mask0].copy()
+    state_off = net.state[~mask0].copy()
     for pat in make_pattern_set(cfg, 25):
         net.train_on_pattern(pat)
     assert np.array_equal(net.mask, mask0)
-    assert np.array_equal(net.eff[~mask0], eff_off)
-    assert np.array_equal(net.lvl[~mask0], lvl_off)
+    assert np.array_equal(net.state[~mask0], state_off)
 
 
 def test_efficacy_flips_only_at_metalevel_zero():
     # instrumented run: every observed flip must come from a depth-0 synapse
     cfg = NetworkConfig(n_in=32, n_out=32, seed=11)
     net = BehavioralNetwork.initialize(cfg)
+    n = cfg.n_levels
     flips = 0
     for pat in make_pattern_set(cfg, 40):
-        eff0, lvl0 = net.eff.copy(), net.lvl.copy()
+        state0 = net.state.copy()
         net.train_on_pattern(pat)
-        flipped = net.eff != eff0
+        flipped = (net.state >= n) != (state0 >= n)
         flips += int(flipped.sum())
-        assert np.all(lvl0[flipped] == 0)
+        # metalevel 0 is chain index n - 1 (low) or n (high)
+        assert np.all(np.isin(state0[flipped], (n - 1, n)))
     assert flips > 0
 
 

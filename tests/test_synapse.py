@@ -10,6 +10,8 @@ from metasyn.synapse import (
     Efficacy,
     MetaState,
     UpdateDirection,
+    chain_index,
+    chain_state,
     efficacy_of,
     gradient_step,
     stochastic_gate,
@@ -133,11 +135,10 @@ def test_gate_rate_matches_q():
 
 def test_gated_transition_leaves_state():
     # q tiny: the gate drops the event, so the chain step selects nothing
-    eff = np.zeros(1, dtype=np.int8)
-    lvl = np.zeros(1, dtype=np.int8)
+    state = np.array([chain_index(S(Efficacy.LOW, 0))])
     sel = stochastic_gate(np.ones(1, dtype=bool), 1e-12, np.random.default_rng(0))
-    transition_arrays(eff, lvl, 3, POT, sel)
-    assert (int(eff[0]), int(lvl[0])) == (0, 0)
+    transition_arrays(state, 3, POT, sel)
+    assert chain_state(int(state[0]), 3) == S(Efficacy.LOW, 0)
 
 
 def test_policy_rejects_bad_q():
@@ -159,16 +160,29 @@ def test_policy_rejects_bad_q():
     st.randoms(use_true_random=False),
 )
 def test_transition_arrays_matches_scalar(n, count, d, rnd):
-    eff = np.array([rnd.randint(0, 1) for _ in range(count)], dtype=np.int8)
-    lvl = np.array([rnd.randint(0, n - 1) for _ in range(count)], dtype=np.int64)
+    states = [
+        MetaState(Efficacy(rnd.randint(0, 1)), rnd.randint(0, n - 1), n) for _ in range(count)
+    ]
     sel = np.array([rnd.random() < 0.7 for _ in range(count)])
-    expected = []
-    for e, l, m in zip(eff, lvl, sel):
-        s = MetaState(Efficacy(int(e)), int(l), n)
-        out = transition(s, d) if m else s
-        expected.append((int(out.efficacy), out.metalevel))
-    transition_arrays(eff, lvl, n, d, sel)
-    assert [(int(e), int(l)) for e, l in zip(eff, lvl)] == expected
+    expected = [transition(s, d) if m else s for s, m in zip(states, sel)]
+    state = np.array([chain_index(s) for s in states], dtype=np.int64)
+    transition_arrays(state, n, d, sel)
+    assert [chain_state(int(i), n) for i in state] == expected
+
+
+@pytest.mark.parametrize("n", [1, 3, 129, 1000])
+def test_chain_index_round_trip(n):
+    """chain_index orders the chain from the deepest low state (0) to the
+    deepest high state (2n - 1); high efficacy is exactly index >= n."""
+    states = [chain_state(i, n) for i in range(2 * n)]
+    assert states[0] == MetaState(Efficacy.LOW, n - 1, n)
+    assert states[-1] == MetaState(Efficacy.HIGH, n - 1, n)
+    for i, s in enumerate(states):
+        assert chain_index(s) == i
+        assert s.efficacy is (Efficacy.HIGH if i >= n else Efficacy.LOW)
+    # neighbours on the chain are one scalar transition apart
+    for lo, hi in zip(states, states[1:]):
+        assert transition(lo, POT) == hi and transition(hi, DEP) == lo
 
 
 # ---- gradient-descent baseline ------------------------------------------------
