@@ -139,6 +139,22 @@ def threshold_crossing(trace: AccuracyTrace, threshold: float) -> int | None:
 
 Cell = tuple[str, NetworkConfig, bool]
 
+_LOCKSTEP_STATE_BYTES = 1 << 21
+
+
+def _lockstep_groups(cfgs: list[NetworkConfig]) -> list[list[NetworkConfig]]:
+    """Consecutive runs grouped so that each group's device state (a float64
+    per crosspoint) fits _LOCKSTEP_STATE_BYTES; a larger run goes alone."""
+    groups, used = [], _LOCKSTEP_STATE_BYTES
+    for cfg in cfgs:
+        size = 8 * cfg.n_in * cfg.n_out
+        if used + size > _LOCKSTEP_STATE_BYTES:
+            groups.append([])
+            used = 0
+        groups[-1].append(cfg)
+        used += size
+    return groups
+
 
 def run_cells(
     spec: ExperimentSpec,
@@ -149,12 +165,13 @@ def run_cells(
 ) -> SweepResult:
     """Run each (label, config, hardware) cell over spec.seeds.
 
-    Every hardware (cell, seed) run goes in one lockstep group, so each
-    programming phase is one pulse call across all of them; each run keeps
-    its own streams, so its trace is the one it gives alone.  The cells
-    fill the grid's valid entries in row-major order (every entry when
-    valid is None); the others hold NaN.  Crossings are computed per seed
-    and the end-of-run accuracies averaged over seeds.
+    The hardware (cell, seed) runs go in consecutive lockstep groups whose
+    device state fits _LOCKSTEP_STATE_BYTES, so each programming phase is
+    one pulse call across a group; each run keeps its own streams, so its
+    trace is the one it gives alone.  The cells fill the grid's valid
+    entries in row-major order (every entry when valid is None); the others
+    hold NaN.  Crossings are computed per seed and the end-of-run
+    accuracies averaged over seeds.
     """
     shape = tuple(len(g) for g in grid)
     valid = np.ones(shape, dtype=bool) if valid is None else valid
@@ -167,12 +184,14 @@ def run_cells(
     sw_cfgs = [c for _, cfgs, hw in runs if not hw for c in cfgs]
     hw_cfgs = [c for _, cfgs, hw in runs if hw for c in cfgs]
     sw_traces = [run_lifetime(c, n_patterns=spec.n_patterns) for c in sw_cfgs]
-    hw_traces = run_lifetime_hw(
-        hw_cfgs,
-        n_patterns=spec.n_patterns,
-        params=spec.params,
-        noise=[spec.noise_for(c.seed) for c in hw_cfgs],
-    ) if hw_cfgs else []
+    hw_traces = [
+        trace
+        for group in _lockstep_groups(hw_cfgs)
+        for trace in run_lifetime_hw(
+            group, n_patterns=spec.n_patterns, params=spec.params,
+            noise=[spec.noise_for(c.seed) for c in group],
+        )
+    ]
     done = {False: iter(sw_traces), True: iter(hw_traces)}
     ends = []
     for label, cfgs, hw in runs:

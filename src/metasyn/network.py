@@ -128,29 +128,24 @@ def generate_patterns(
 
 def make_pattern_set(cfg: NetworkConfig, count: int) -> list[Pattern]:
     """The run's input/target pairs, derived deterministically from cfg.seed."""
+    if count < 1:
+        raise ValueError(f"n_patterns must be >= 1, got {count}")
     in_ss, tgt_ss = seed_streams(cfg.seed)["patterns"].spawn(2)
     inputs = generate_patterns(cfg.n_in, cfg.activity, count, in_ss)
     targets = generate_patterns(cfg.n_out, cfg.activity, count, tgt_ss)
     return [Pattern(i, t) for i, t in zip(inputs, targets)]
 
 
+@dataclass(eq=False)
 class BehavioralNetwork:
     """State arrays plus the update rules for one model variant: the chain
     index of every synapse, or the analog weights of the gradient model."""
 
-    def __init__(
-        self,
-        cfg: NetworkConfig,
-        mask: np.ndarray,
-        state: np.ndarray,
-        weights: np.ndarray | None,
-        train_rng: np.random.Generator,
-    ):
-        self.cfg = cfg
-        self.mask = mask
-        self.state = state
-        self.weights = weights
-        self.train_rng = train_rng
+    cfg: NetworkConfig
+    mask: np.ndarray
+    state: np.ndarray
+    weights: np.ndarray | None
+    train_rng: np.random.Generator
 
     @classmethod
     def initialize(cls, cfg: NetworkConfig) -> "BehavioralNetwork":
@@ -171,19 +166,44 @@ class BehavioralNetwork:
             state[mask] += rng.integers(0, 2, size=cfg.n_connected, dtype=np.int8)
         return cls(cfg, mask, state, weights, np.random.default_rng(streams["train"]))
 
-    def efficacy_matrix(self) -> np.ndarray:
+    def efficacy_matrix(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """0/1 efficacy of every synapse, or of the given input rows only."""
         if self.cfg.model is Model.GRADIENT:
-            return np.where(self.mask, self.weights > 0.5, False).astype(np.float64)
-        return (self.mask & (self.state >= self.cfg.effective_levels)).astype(np.float64)
+            high = self.weights[rows] > 0.5
+        else:
+            high = self.state[rows] >= self.cfg.effective_levels
+        return (self.mask[rows] & high).astype(np.float64)
 
     def forward(self, input_bits: np.ndarray) -> np.ndarray:
         return self.forward_batch(input_bits[np.newaxis, :])[0]
 
     def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
-        """Threshold response for a batch of input rows; strict inequality,
-        so a drive exactly at theta does not fire."""
-        votes = inputs.astype(np.float64) @ self.efficacy_matrix()
+        """Threshold response for a batch of 0/1 input bit vectors, read on
+        the rows with a set bit; a drive exactly at theta does not fire."""
+        rows = np.flatnonzero(inputs.any(axis=0))
+        votes = inputs[:, rows].astype(np.float64) @ self.efficacy_matrix(rows)
         return (votes > self.cfg.theta).astype(np.uint8)
+
+    def retention_reader(self, inputs: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
+        """The lifetime loop's read of inputs[:t + 1] after training on
+        pattern t, for t = 0, 1, ... in turn.  Training changes synapses only
+        on pattern t's active rows A_t, so earlier votes move by
+        X[:t, A_t] @ (after - before) on those rows; votes are integer counts,
+        which float64 sums exactly, so every output equals forward_batch's."""
+        x = inputs.astype(np.float64)
+        actives = [np.flatnonzero(row) for row in inputs]
+        votes = np.zeros((len(inputs), self.cfg.n_out))
+        before = self.efficacy_matrix()  # as of the previous read
+
+        def read(k: int, rows: np.ndarray) -> np.ndarray:
+            t = len(rows) - 1
+            after = self.efficacy_matrix(actives[t])
+            votes[:t] += x[:t, actives[t]] @ (after - before[actives[t]])
+            votes[t] = after.sum(axis=0)
+            before[actives[t]] = after
+            return (votes[: t + 1] > self.cfg.theta).astype(np.uint8)
+
+        return read
 
     def train_on_pattern(self, pat: Pattern) -> None:
         """Up to updates_per_pattern correction rounds on one pattern; stops
@@ -276,6 +296,6 @@ def run_lifetime(cfg: NetworkConfig, n_patterns: int = 100) -> AccuracyTrace:
     net = BehavioralNetwork.initialize(cfg)
     return lifetime_loop(
         lambda pats: net.train_on_pattern(pats[0]),
-        lambda k, rows: net.forward_batch(rows),
+        net.retention_reader(np.stack([p.input_bits for p in patterns])),
         [patterns],
     )[0]

@@ -166,6 +166,12 @@ def test_nan_sigma_rejected_before_a_hardware_run():
         run_lifetime_hw(SMALL, n_patterns=2, noise=NoiseModel(sigma=float("nan")))
 
 
+@pytest.mark.parametrize("n_patterns", [0, -1])
+def test_run_lifetime_hw_rejects_no_patterns(n_patterns):
+    with pytest.raises(ValueError, match="n_patterns"):
+        run_lifetime_hw(SMALL, n_patterns=n_patterns)
+
+
 def test_lockstep_runs_equal_runs_alone():
     """Configs of different sizes, models and q in one lockstep group give
     the traces each gives alone, noise models passed or defaulted."""

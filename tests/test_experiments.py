@@ -13,6 +13,7 @@ from metasyn.experiments import (
     sweep_size,
     threshold_crossing,
 )
+from metasyn import experiments
 from metasyn.crossbar import run_lifetime_hw
 from metasyn.network import AccuracyTrace, Model, NetworkConfig
 
@@ -267,3 +268,39 @@ def test_lockstep_traces_equal_independent_runs(experiment, noise, rule):
             )
             assert trace.learning.tobytes() == alone.learning.tobytes()
             assert trace.mean.tobytes() == alone.mean.tobytes()
+
+
+def test_lockstep_groups_fit_the_budget(monkeypatch):
+    """With a smaller device-state budget run_cells splits the hardware runs
+    into consecutive groups; no group exceeds the budget and every trace is
+    byte-identical to the single-group run."""
+    spec = ExperimentSpec(
+        base=LOCKSTEP_BASE, seeds=(0, 1, 2), n_patterns=8, hardware=True, size_grid=(16, 24)
+    )
+    whole = sweep_size(spec)
+    budget = 2 * 8 * 24 * 24
+    groups = []
+
+    def spy(cfgs, **kwargs):
+        groups.append([8 * c.n_in * c.n_out for c in cfgs])
+        return run_lifetime_hw(cfgs, **kwargs)
+
+    monkeypatch.setattr(experiments, "_LOCKSTEP_STATE_BYTES", budget)
+    monkeypatch.setattr(experiments, "run_lifetime_hw", spy)
+    split = sweep_size(spec)
+    assert [len(g) for g in groups] == [3, 2, 1]
+    assert all(sum(g) <= budget for g in groups)
+    for label, traces in whole.traces.items():
+        for a, b in zip(traces, split.traces[label], strict=True):
+            assert a.learning.tobytes() == b.learning.tobytes()
+            assert a.mean.tobytes() == b.mean.tobytes()
+
+
+def test_lockstep_groups_keep_benchmark_runs_together():
+    """A six-run 128x128 hardware compare and one 512x512 run each stay one
+    lockstep group; a run larger than the budget goes alone."""
+    group = experiments._lockstep_groups
+    assert len(group([NetworkConfig()] * 6)) == 1
+    assert len(group([NetworkConfig(n_in=512, n_out=512)])) == 1
+    big = NetworkConfig(n_in=1024, n_out=1024)
+    assert group([big, big, NetworkConfig()]) == [[big], [big], [NetworkConfig()]]

@@ -12,6 +12,7 @@ from metasyn.network import (
     Pattern,
     correct_pattern,
     generate_patterns,
+    lifetime_loop,
     make_pattern_set,
     run_lifetime,
     seed_streams,
@@ -165,6 +166,22 @@ def test_forward_matches_brute_force_small():
         assert list(net.forward(x)) == expected
 
 
+@pytest.mark.parametrize("model", list(Model))
+def test_forward_batch_equals_dense_product(model):
+    """forward_batch reads only rows with a set bit; on bit batches, all-zero
+    rows and an empty batch included, it equals the dense product."""
+    cfg = NetworkConfig(n_in=40, n_out=24, connectivity=0.5, model=model, seed=2)
+    net = BehavioralNetwork.initialize(cfg)
+    bits = (np.random.default_rng(0).random((30, cfg.n_in)) < 0.3).astype(np.uint8)
+    bits[::7] = 0
+    bits[:, 5] = 0
+    for batch in (bits, bits[:0], np.zeros((3, cfg.n_in), dtype=np.uint8)):
+        dense = (batch.astype(np.float64) @ net.efficacy_matrix() > cfg.theta).astype(np.uint8)
+        out = net.forward_batch(batch)
+        assert out.dtype == dense.dtype and out.shape == dense.shape
+        assert out.tobytes() == dense.tobytes()
+
+
 # ---- training ----------------------------------------------------------------------
 
 
@@ -245,6 +262,50 @@ def test_deep_metalevel_shields_efficacy():
 
 
 # ---- lifetime bookkeeping ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        NetworkConfig(n_in=64, n_out=64, model=Model.BINARY, seed=1),
+        NetworkConfig(n_in=64, n_out=64, n_levels=1, seed=2),
+        NetworkConfig(n_in=64, n_out=64, n_levels=3, seed=3),
+        NetworkConfig(n_in=64, n_out=64, n_levels=5, seed=4),
+        NetworkConfig(n_in=64, n_out=64, model=Model.GRADIENT, seed=5),
+        NetworkConfig(n_in=64, n_out=64, q=0.5, seed=6),
+        NetworkConfig(n_in=64, n_out=64, updates_per_pattern=3, seed=7),
+        NetworkConfig(n_in=48, n_out=20, connectivity=0.5, activity=0.5, seed=8),
+    ],
+    ids=["binary", "levels1", "levels3", "levels5", "gradient", "q0.5", "upp3", "48x20-f0.5"],
+)
+def test_retention_reader_equals_fresh_forward_every_step(cfg):
+    """The retention reader keeps its votes by active-row efficacy deltas;
+    at every step its outputs must be those of a from-scratch read."""
+    patterns = make_pattern_set(cfg, 40)
+    inputs = np.stack([p.input_bits for p in patterns])
+    net = BehavioralNetwork.initialize(cfg)
+    read = net.retention_reader(inputs)
+    for t, pat in enumerate(patterns):
+        net.train_on_pattern(pat)
+        fresh = net.forward_batch(inputs[: t + 1])
+        out = read(0, inputs[: t + 1])
+        assert out.dtype == fresh.dtype and out.shape == fresh.shape
+        assert out.tobytes() == fresh.tobytes(), f"step {t}"
+    net = BehavioralNetwork.initialize(cfg)
+    scratch = lifetime_loop(
+        lambda pats: net.train_on_pattern(pats[0]),
+        lambda k, rows: net.forward_batch(rows),
+        [patterns],
+    )[0]
+    trace = run_lifetime(cfg, n_patterns=40)
+    assert trace.learning.tobytes() == scratch.learning.tobytes()
+    assert trace.mean.tobytes() == scratch.mean.tobytes()
+
+
+@pytest.mark.parametrize("n_patterns", [0, -1])
+def test_run_lifetime_rejects_no_patterns(n_patterns):
+    with pytest.raises(ValueError, match="n_patterns"):
+        run_lifetime(NetworkConfig(n_in=16, n_out=16), n_patterns=n_patterns)
 
 
 def test_trace_lengths_and_ranges():
