@@ -139,7 +139,7 @@ def threshold_crossing(trace: AccuracyTrace, threshold: float) -> int | None:
 
 Cell = tuple[str, NetworkConfig, bool]
 
-_LOCKSTEP_STATE_BYTES = 1 << 21
+_LOCKSTEP_STATE_BYTES = 1 << 21  # one 512x512 run, or 16 runs at 128x128
 
 
 def _lockstep_groups(cfgs: list[NetworkConfig]) -> list[list[NetworkConfig]]:
