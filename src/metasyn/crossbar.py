@@ -26,6 +26,7 @@ from .device import (
     calibrate_metastate_table,
     conductance,
     flip_conductances,
+    holds_within_budget,
     integrate_pulse,
 )
 from .network import (
@@ -160,44 +161,50 @@ def train_lockstep(
     columns, then depression phase on -1-error columns, with inactive rows
     held at v_half.
 
-    Each phase programs the read-verified devices of every crossbar with one
-    :func:`integrate_pulse` call, in which each crossbar's devices draw from
-    its own noise stream, so every crossbar ends where it would alone.  The
-    crossbars must share device params and programming pulse.  The event
-    log records one crossbar's events, so it needs a single crossbar.
+    Each round programs both phases' read-verified devices of every
+    crossbar with one :func:`integrate_pulse` call, whose segments carry
+    their phase's polarity and their crossbar's own noise stream, so every
+    crossbar ends where it would alone.  The phases select disjoint columns,
+    so both guards are read first.  Past :func:`holds_within_budget` for the
+    held potentiation noise draw, each phase gets its own call instead.
+
+    The crossbars must share device params and programming pulse, and each
+    needs its own noise model (or None).  The event log records one
+    crossbar's events, one block per phase, so it needs a single crossbar.
     """
     if log is not None and len(crossbars) != 1:
         raise ValueError("an event log records the events of one crossbar")
     if len({(xb.params, xb.table.pulse) for xb in crossbars}) > 1:
         raise ValueError("crossbars in lockstep must share device params and pulse")
+    models = [id(xb.noise) for xb in crossbars if xb.noise is not None]
+    if len(set(models)) < len(models):
+        raise ValueError("crossbars in lockstep need one noise model each, not a shared one")
+    table, params = crossbars[0].table, crossbars[0].params
+    decode = table.decode_index
 
-    def pulse(direction: UpdateDirection, selects: list[np.ndarray | None]) -> None:
-        guards = []
-        for xb, sel in zip(crossbars, selects):
-            guarded = np.zeros_like(xb.mask)
-            if sel is not None:
-                guarded[sel] = xb.table.verify(xb.x[sel], direction)
-            guards.append(guarded)
-        befores = [xb.x[guarded] for xb, guarded in zip(crossbars, guards)]
-        counts = [before.size for before in befores]
-        if not any(counts):
-            return
-        first = crossbars[0]
-        after = integrate_pulse(
-            np.concatenate(befores),
-            first.table.pulse_for(direction),
-            first.params,
-            [(xb.noise, count) for xb, count in zip(crossbars, counts)],
-        )
-        afters = np.split(after, np.cumsum(counts)[:-1])
-        for xb, guarded, xs in zip(crossbars, guards, afters):
-            xb.x[guarded] = xs
-        if log is not None:
-            decode, before, after = first.table.decode_index, befores[0], afters[0]
-            log.blocks.append(
-                (step, direction.name.lower(), *np.nonzero(guards[0]),
-                 before, after, decode(before), decode(after))
-            )
+    def pulse(phases: list[tuple[UpdateDirection, list[np.ndarray | None]]]) -> None:
+        segments = []  # (direction, crossbar, guard, x before), phase by phase
+        for direction, selects in phases:
+            for xb, sel in zip(crossbars, selects):
+                guard = np.zeros_like(xb.mask)
+                if sel is not None:
+                    guard[sel] = xb.table.verify(xb.x[sel], direction)
+                segments.append((direction, xb, guard, xb.x[guard]))
+        n = len(crossbars)  # the potentiate segments, whose noise draw a merged call holds
+        held = sum(b.size for _, xb, _, b in segments[:n] if xb.noise and xb.noise.active)
+        merged = holds_within_budget(table.pulse, held)
+        for call in [segments] if merged else [segments[:n], segments[n:]]:
+            befores = [before for *_, before in call]
+            if not any(before.size for before in befores):
+                continue
+            noise = [(xb.noise, b.size, table.pulse_for(d).amplitude) for d, xb, _, b in call]
+            after = integrate_pulse(np.concatenate(befores), table.pulse, params, noise)
+            afters = np.split(after, np.cumsum([before.size for before in befores])[:-1])
+            for (direction, xb, guard, before), xs in zip(call, afters):
+                xb.x[guard] = xs
+                if log is not None and before.size:
+                    block = (*np.nonzero(guard), before, xs, decode(before), decode(xs))
+                    log.blocks.append((step, direction.name.lower(), *block))
 
     correct_pattern(crossbars, lambda k, rows: crossbars[k].infer_batch(rows), pulse, pats)
 

@@ -42,6 +42,10 @@ _TREE_DEPTH = 10
 # while a pulse on many devices never holds its full draw in memory.
 _NOISE_BLOCK_BYTES = 1 << 18
 
+# A pulse call in which one noise model feeds two segments holds the earlier
+# segment's whole draw; callers merge two pulses only within this budget.
+_HELD_NOISE_BYTES = 1 << 21
+
 
 class CalibrationError(RuntimeError):
     """Raised when the pulse-train calibration cannot produce a valid chain."""
@@ -162,9 +166,26 @@ def window(x, params: DeviceParams):
     The numerator vanishes exactly at x = 0 and x = 1, so a device parked
     at either end cannot move regardless of drive.
     """
-    shifted = np.asarray(x, dtype=float) - _WINDOW_CENTRE
-    value = (1.0 - 4.0 * shifted * shifted) * np.exp(-params.tau * shifted**params.p_exp)
+    xa = np.asarray(x, dtype=float)
+    value = _window_into(xa, -params.tau, params.p_exp, *(np.empty_like(xa) for _ in range(3)))
     return value if value.ndim else float(value)
+
+
+# As ufunc operands, 0-d arrays cost numpy less per call than Python floats
+# of the same value, and give the same bits.
+_ZERO, _HALF, _ONE, _FOUR, _CENTRE = (np.array(v) for v in (0.0, 0.5, 1.0, 4.0, _WINDOW_CENTRE))
+
+
+def _window_into(x, neg_tau, p_exp, out, shifted, tmp):
+    """window() of x into out, with neg_tau = -tau and scratch arrays shifted, tmp."""
+    np.subtract(x, _CENTRE, out=shifted)
+    np.multiply(_FOUR, shifted, out=out)
+    np.multiply(out, shifted, out=out)
+    np.subtract(_ONE, out, out=out)
+    np.power(shifted, p_exp, out=tmp)
+    np.multiply(neg_tau, tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    return np.multiply(out, tmp, out=out)
 
 
 def conductance(x, params: DeviceParams):
@@ -195,73 +216,96 @@ def state_derivative(x, v, params: DeviceParams):
 
 
 def _clamp_unit(v):
-    """np.clip(v, 0.0, 1.0) bit for bit, -0.0 and NaN included, at about
-    half its call cost; the argument order of the maximum keeps -0.0."""
-    return np.minimum(np.maximum(0.0, v), 1.0)
+    """np.clip(v, 0.0, 1.0) in place, bit for bit, -0.0 and NaN included, at
+    about half its call cost; the argument order of the maximum keeps -0.0."""
+    return np.minimum(np.maximum(_ZERO, v, out=v), _ONE, out=v)
+
+
+def holds_within_budget(pulse: PulseSpec, held: int) -> bool:
+    """Whether one pulse call may hold the whole noise draw of held devices."""
+    return 8 * held * pulse.duration / pulse.dt <= _HELD_NOISE_BYTES
 
 
 def integrate_pulse(
     x,
     pulse: PulseSpec,
     params: DeviceParams,
-    noise: NoiseModel | list[tuple[NoiseModel | None, int]] | None = None,
+    noise: NoiseModel | list[tuple] | None = None,
 ):
     """Drive an array (or scalar) of states through one rectangular pulse.
 
     Fixed-step two-stage explicit (Heun) integration with the pulse's dt;
-    a shorter final step covers any remainder.  The pulse's voltage factor
-    is constant, so it is computed once and each stage only evaluates the
-    window.  Each step's increment picks up multiplicative noise when
-    enabled, drawn step by step from the noise stream in blocks of whole
-    steps, and the state is clamped to [0, 1] after every step.
+    a shorter final step covers any remainder.  The voltage factor is
+    computed once per device, and each stage only evaluates the window, in
+    preallocated work arrays.  Each step's increment picks up multiplicative
+    noise when enabled, drawn step by step from the noise stream in blocks
+    of whole steps, and the state is clamped to [0, 1] after every step.
     Sub-threshold drive gives a derivative of exactly zero in both stages,
     so the state is left bit-identical.
 
-    noise is one model for every device, or a list of (model, count)
-    segments that split the flattened states in order, so one call can
-    program the devices of several runs that each own a noise stream.  Each
-    block draws (steps, count) from every active segment's stream; a
-    segment without active noise gets a gain of exactly 1.  Block draws
-    concatenate in stream order, so every segment's numbers are the ones a
-    call on its devices alone would draw.
+    noise is one model for every device, or a list of (model, count) or
+    (model, count, amplitude) segments that split the flattened states in
+    order: one call can program several runs, each on its own noise stream,
+    at either polarity.  Each block draws (steps, count) from every active
+    segment's stream; a segment without active noise gets a gain of exactly
+    1.  A segment whose model also feeds a later segment draws its whole
+    pulse up front instead.  So every segment gets the numbers a call on
+    its devices alone would draw, one call per segment in order.
     """
     xa = np.array(x, dtype=float)
     shape = xa.shape
     xa = xa.reshape(-1)
     segments = noise if isinstance(noise, list) else [(noise, xa.size)]
-    if sum(count for _, count in segments) != xa.size:
+    counts = [segment[1] for segment in segments]
+    if sum(counts) != xa.size:
         raise ValueError("noise segment counts must add up to the number of states")
     n_full, remainder = divmod(pulse.duration, pulse.dt)
-    steps = [pulse.dt] * int(round(n_full))
+    steps = [np.array(pulse.dt)] * int(round(n_full))  # 0-d, like the constants
     if remainder > 1e-12 * pulse.dt:
-        steps.append(remainder)
-    drive = _drive(pulse.amplitude, params)
+        steps.append(np.array(remainder))
+    amplitudes = [segment[2] if len(segment) > 2 else pulse.amplitude for segment in segments]
+    drive = np.repeat([_drive(amplitude, params) for amplitude in amplitudes], counts)
+    models = [m if m is not None and m.active else None for m, *_ in segments]
 
-    def rate(xs):
-        return drive * window(xs, params) / params.d_thickness
+    def draw(model: NoiseModel, n_steps: int, count: int) -> np.ndarray:
+        gains = model.rng().standard_normal((n_steps, count))
+        return np.add(np.multiply(gains, model.sigma, out=gains), 1.0, out=gains)
 
-    noisy = any(model is not None and model.active for model, _ in segments)
+    last = {id(m): i for i, m in enumerate(models) if m is not None}
+    held = {
+        i: draw(m, len(steps), counts[i]) for i, m in enumerate(models) if last.get(id(m), i) > i
+    }
+    k1, k2, y, shifted, tmp = (np.empty_like(xa) for _ in range(5))
+    neg_tau, p_exp, thickness = map(np.array, (-params.tau, params.p_exp, params.d_thickness))
+
+    def rate(xs, out):
+        _window_into(xs, neg_tau, p_exp, out, shifted, tmp)
+        np.multiply(drive, out, out=out)
+        return np.divide(out, thickness, out=out)
+
+    noisy = any(m is not None for m in models)
     block = max(1, _NOISE_BLOCK_BYTES // max(xa.nbytes, 1)) if noisy else len(steps)
     for start in range(0, len(steps), block):
         chunk = steps[start : start + block]
         if noisy:
-            parts = []
-            for model, count in segments:
-                if model is not None and model.active:
-                    part = model.rng().standard_normal((len(chunk), count))
-                    part *= model.sigma
-                    part += 1.0
-                else:
-                    part = np.ones((len(chunk), count))
-                parts.append(part)
+            parts = [
+                held[i][start : start + len(chunk)] if i in held
+                else np.ones((len(chunk), counts[i])) if m is None
+                else draw(m, len(chunk), counts[i])
+                for i, m in enumerate(models)
+            ]
             gains = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         for i, dt in enumerate(chunk):
-            k1 = rate(xa)
-            k2 = rate(_clamp_unit(xa + k1 * dt))
-            dx = 0.5 * (k1 + k2) * dt
+            rate(xa, k1)
+            np.multiply(k1, dt, out=y)
+            _clamp_unit(np.add(xa, y, out=y))
+            rate(y, k2)
+            np.add(k1, k2, out=k1)
+            np.multiply(_HALF, k1, out=k1)
+            np.multiply(k1, dt, out=k1)
             if noisy:
-                dx = dx * gains[i]
-            xa = _clamp_unit(xa + dx)
+                np.multiply(k1, gains[i], out=k1)
+            _clamp_unit(np.add(xa, k1, out=xa))
     return float(xa[0]) if not shape else xa.reshape(shape)
 
 
@@ -378,8 +422,13 @@ def _calibrated_table(params: DeviceParams, n_levels: int, pulse: PulseSpec) -> 
     shares them; a failed calibration raises and is not cached."""
     anchor = _find_anchor(n_levels, pulse, params)
     plateaus = _pulse_train(np.array(anchor), 2 * n_levels - 1, pulse, params)
-    if not np.all(np.diff(plateaus) > 0.0):
-        raise CalibrationError("plateaus are not strictly increasing")
+    rising = np.diff(plateaus) > 0.0
+    if not np.all(rising):
+        i, x = int(np.argmin(rising)), plateaus.tolist()
+        raise CalibrationError(
+            f"plateaus are not strictly increasing at n_levels = {n_levels}: plateau {i} "
+            f"(x = {x[i]!r}) is not below plateau {i + 1} (x = {x[i + 1]!r})"
+        )
     # the window vanishes on the rails, so no pulse could move a device there
     if not (0.0 < plateaus[0] and plateaus[-1] < 1.0):
         raise CalibrationError("a plateau lies on a rail of the state range")

@@ -210,18 +210,18 @@ class BehavioralNetwork:
         as soon as every output bit matches."""
         correct_pattern([self], lambda k, rows: self.forward_batch(rows), self._step, [pat])
 
-    def _step(self, direction: UpdateDirection, selects: list[np.ndarray | None]) -> None:
-        (select,) = selects
-        if self.cfg.model is Model.GRADIENT:
-            gradient_step(self.weights, direction, select, self.cfg.learning_rate)
-        else:
-            transition_arrays(self.state, self.cfg.effective_levels, direction, select)
+    def _step(self, phases: list[tuple[UpdateDirection, list[np.ndarray | None]]]) -> None:
+        for direction, (select,) in phases:
+            if self.cfg.model is Model.GRADIENT:
+                gradient_step(self.weights, direction, select, self.cfg.learning_rate)
+            else:
+                transition_arrays(self.state, self.cfg.effective_levels, direction, select)
 
 
 def correct_pattern(
     runs: Sequence[BehavioralNetwork | Crossbar],
     read: Callable[[int, np.ndarray], np.ndarray],
-    step: Callable[[UpdateDirection, list[np.ndarray | None]], None],
+    step: Callable[[list[tuple[UpdateDirection, list[np.ndarray | None]]]], None],
     pats: Sequence[Pattern],
 ) -> None:
     """The correction step both network views train with, on several runs
@@ -233,10 +233,12 @@ def correct_pattern(
     bits all match stops there and draws no further gates.  Then comes the
     potentiate phase, then the depress phase.  A phase selects, per run, the
     connected synapses on active rows of the columns whose error has its
-    sign, passes them through the q gate drawn from the run's own
-    ``train_rng``, and hands all selections to the step rule ``step`` in one
-    call, None for a run that has stopped.  Each run draws from its own
-    streams in the order it would alone, so lockstep changes no number.
+    sign, and passes them through the q gate drawn from the run's own
+    ``train_rng``, None for a run that has stopped.  Both phases go to the
+    step rule in one call, ``step([(POTENTIATE, selects), (DEPRESS,
+    selects)])``, which applies them in that order; they select disjoint
+    columns.  Each run draws from its own streams in the order it would
+    alone, so lockstep changes no number.
     """
     actives = [
         run.mask & pat.input_bits.astype(bool)[:, np.newaxis] for run, pat in zip(runs, pats)
@@ -253,12 +255,14 @@ def correct_pattern(
         live = list(errs)
         if not live:
             break
+        phases = []
         for direction in (UpdateDirection.POTENTIATE, UpdateDirection.DEPRESS):
             selects: list[np.ndarray | None] = [None] * len(runs)
             for k in live:
                 select = actives[k] & (errs[k] == direction.value)[np.newaxis, :]
                 selects[k] = stochastic_gate(select, runs[k].cfg.q, runs[k].train_rng)
-            step(direction, selects)
+            phases.append((direction, selects))
+        step(phases)
 
 
 def lifetime_loop(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from metasyn import crossbar, device
 from metasyn.crossbar import (
     ComparatorConfig,
     ComparatorMode,
@@ -204,6 +205,58 @@ def test_lockstep_rejects_what_it_cannot_share():
     pat = make_pattern_set(SMALL, 1)[0]
     with pytest.raises(ValueError, match="share device params"):
         train_lockstep([a, b], [pat, pat])
+
+
+def test_lockstep_rejects_a_shared_noise_model():
+    """One noise model feeding two runs would make each trace depend on the
+    group's order; None twice and distinct models with equal seeds are fine."""
+    shared = NoiseModel(sigma=0.1, rng_seed=7)
+    with pytest.raises(ValueError, match="noise model"):
+        run_lifetime_hw([SMALL, SMALL], n_patterns=2, noise=[shared, shared])
+    a, b = init_crossbar(SMALL, noise=shared), init_crossbar(SMALL, noise=shared)
+    pat = make_pattern_set(SMALL, 1)[0]
+    with pytest.raises(ValueError, match="noise model"):
+        train_lockstep([a, b], [pat, pat])
+    run_lifetime_hw([SMALL, SMALL], n_patterns=2, noise=[None, None])
+    equal_seeds = [NoiseModel(sigma=0.1, rng_seed=7), NoiseModel(sigma=0.1, rng_seed=7)]
+    together = run_lifetime_hw([SMALL, SMALL], n_patterns=5, noise=equal_seeds)
+    alone = run_lifetime_hw(SMALL, n_patterns=5, noise=NoiseModel(sigma=0.1, rng_seed=7))
+    assert all(t.mean.tobytes() == alone.mean.tobytes() for t in together)
+
+
+def test_one_pulse_call_per_round_equals_one_per_phase(monkeypatch):
+    """A round programs both phases with one pulse call that holds the
+    potentiation noise draw; a held-draw budget of 0 gives each phase its
+    own call instead.  Both must give the same traces and event log bytes."""
+    cfgs = [
+        NetworkConfig(n_in=24, n_out=20, model=Model.BINARY, q=0.5, updates_per_pattern=3, seed=2),
+        NetworkConfig(n_in=16, n_out=16, q=0.5, updates_per_pattern=3, seed=3),
+    ]
+    calls = []
+    pulse = crossbar.integrate_pulse
+    monkeypatch.setattr(crossbar, "integrate_pulse", lambda *a: calls.append(a) or pulse(*a))
+
+    def run():
+        calls.clear()
+        traces = run_lifetime_hw(cfgs, n_patterns=12)
+        logs = [EventLog() for _ in cfgs]
+        for cfg, log in zip(cfgs, logs):
+            run_lifetime_hw(cfg, n_patterns=12, event_log=log)
+        return traces, logs, len(calls)
+
+    merged = run()
+    monkeypatch.setattr(device, "_HELD_NOISE_BYTES", 0)
+    split = run()
+    assert merged[2] < split[2]
+    for a, b in zip(merged[0], split[0]):
+        assert a.learning.tobytes() == b.learning.tobytes()
+        assert a.mean.tobytes() == b.mean.tobytes()
+    for a, b in zip(merged[1], split[1]):
+        assert len(a) > 0 and len(a.blocks) == len(b.blocks)
+        for block_a, block_b in zip(a.blocks, b.blocks):
+            assert block_a[:2] == block_b[:2]
+            for col_a, col_b in zip(block_a[2:], block_b[2:]):
+                assert col_a.dtype == col_b.dtype and col_a.tobytes() == col_b.tobytes()
 
 
 def test_hardware_run_deterministic():

@@ -273,15 +273,29 @@ def test_integrate_pulse_matches_reference_kernel(params, n, amplitude, sigma):
 
 
 @pytest.mark.parametrize(
-    "counts", [(3, 5, 2, 0, 4), (0, 0), (2000, 900, 100, 0, 2000)], ids=["small", "empty", "blocks"]
+    "counts, phases",
+    [
+        ((3, 5, 2, 0, 4), 1),
+        ((0, 0), 1),
+        ((2000, 900, 100, 0, 2000), 1),
+        ((300, 70, 120, 250, 400, 90, 0, 330), 2),
+    ],
+    ids=["small", "empty", "blocks", "two-phase"],
 )
 @pytest.mark.parametrize("amplitude", [1.2, -1.2])
-def test_segmented_pulse_equals_separate_calls(params, counts, amplitude):
+def test_segmented_pulse_equals_separate_calls(params, counts, phases, amplitude):
     """One call over several runs' devices equals one call per run, each on
     its own noise stream: zero-count segments draw nothing, and at 5000
-    devices the noise comes in blocks of a few steps."""
+    devices the noise comes in blocks of a few steps.
+
+    With two phases the second half of the segments reuses the first half's
+    models at the opposite polarity, as one lockstep round programs a run's
+    potentiated and depressed devices in one call.  That call must equal
+    the sequential calls, all of the first polarity before the second, also
+    when its noise comes in blocks."""
     x = np.random.default_rng(len(counts)).random(sum(counts))
-    pulse = PulseSpec(amplitude=amplitude)
+    n_models = len(counts) // phases
+    amplitudes = [amplitude] * n_models + [-amplitude] * (len(counts) - n_models)
 
     def models():
         # noisy, off, absent and a second sigma, cycled over the segments
@@ -291,13 +305,17 @@ def test_segmented_pulse_equals_separate_calls(params, counts, amplitude):
             lambda i: None,
             lambda i: NoiseModel(sigma=0.1, rng_seed=i),
         ]
-        return [kinds[i % 4](i) for i in range(len(counts))]
+        return [kinds[i % 4](i) for i in range(n_models)] * phases
 
     joint, alone = models(), models()
-    out = integrate_pulse(x, pulse, params, list(zip(joint, counts)))
+    segments = list(zip(joint, counts, amplitudes))
+    out = integrate_pulse(x, PulseSpec(amplitude=amplitude), params, segments)
     parts = np.split(x, np.cumsum(counts)[:-1])
     expected = np.concatenate(
-        [integrate_pulse(xs, pulse, params, model) for xs, model in zip(parts, alone)]
+        [
+            integrate_pulse(xs, PulseSpec(amplitude=a), params, model)
+            for xs, model, a in zip(parts, alone, amplitudes)
+        ]
     )
     assert out.tobytes() == expected.tobytes()
     for a, b in zip(joint, alone):
@@ -351,6 +369,15 @@ def test_failed_calibration_is_not_cached():
     for _ in range(2):
         with pytest.raises(CalibrationError, match="strictly increasing"):
             calibrate_metastate_table(strong, ratio_bounds=None)
+
+def test_non_increasing_plateaus_name_the_chain_and_the_pair():
+    # the idealized device's deep high plateaus round to one float64 near 1.0
+    with pytest.raises(
+        CalibrationError,
+        match=r"at n_levels = 5: plateau 7 \(x = 0\.99999\d*\) is not below plateau 8 \(x = ",
+    ):
+        calibrate_metastate_table(DeviceParams.idealized(), n_levels=5, ratio_bounds=None)
+
 
 @pytest.mark.parametrize("k", [1.0e9, 1.0e12])
 def test_plateau_on_a_rail_is_rejected(k):

@@ -17,7 +17,7 @@ from metasyn.network import (
     run_lifetime,
     seed_streams,
 )
-from metasyn.synapse import Efficacy
+from metasyn.synapse import Efficacy, UpdateDirection
 
 
 # ---- configuration -------------------------------------------------------------
@@ -203,7 +203,8 @@ def test_zero_error_leaves_network_unchanged():
 
 def test_lockstep_run_stops_without_drawing_once_correct():
     """In a lockstep group, a run whose outputs match gets no selection and
-    draws no q gate, while the run beside it keeps correcting."""
+    draws no q gate, while the run beside it keeps correcting; each round
+    hands both phases to the step rule in one call."""
     cfg = NetworkConfig(
         n_in=8, n_out=4, connectivity=1.0, activity=0.5, seed=1, q=0.5, updates_per_pattern=3
     )
@@ -216,12 +217,14 @@ def test_lockstep_run_stops_without_drawing_once_correct():
     correct_pattern(
         [done, busy],
         lambda k, rows: (done, busy)[k].forward_batch(rows),
-        lambda direction, selects: seen.append(selects),
+        seen.append,
         [Pattern(input_bits=x, target_bits=y), Pattern(input_bits=x, target_bits=1 - y)],
     )
     # busy is never stepped, so it stays wrong for all three rounds
-    assert len(seen) == 2 * cfg.updates_per_pattern
-    assert all(sel[0] is None and sel[1] is not None for sel in seen)
+    assert len(seen) == cfg.updates_per_pattern
+    for phases in seen:
+        assert [d for d, _ in phases] == [UpdateDirection.POTENTIATE, UpdateDirection.DEPRESS]
+        assert all(sel[0] is None and sel[1] is not None for _, sel in phases)
     assert done.train_rng.bit_generator.state == state
 
 
