@@ -26,6 +26,7 @@ from .device import (
     CalibrationError,
     DeviceParams,
     MetastateTable,
+    NoiseModel,
     calibrate_metastate_table,
     conductance,
 )
@@ -61,7 +62,7 @@ class RunConfig(ExperimentSpec):
 
     Every field of the spec's base NetworkConfig and DeviceParams, and every
     other spec field, is one config key of the same name.  Every command
-    that touches hardware honours the device and noise keys:
+    that touches hardware honours the device keys and sigma:
     calibrate-device, dump-trace, and run, compare and the sweeps with
     hardware = true.
     """
@@ -462,7 +463,7 @@ def execute(cmd: str, cfg: RunConfig) -> int:
             net_cfg,
             n_patterns=cfg.n_patterns,
             params=cfg.params,
-            noise=cfg.noise_for(net_cfg.seed),
+            noise=NoiseModel(sigma=cfg.sigma),
             event_log=events,
         )
         paths = [out / "events.csv"]

@@ -13,7 +13,7 @@ and therefore moves nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -109,8 +109,11 @@ class Crossbar:
         self.table = table
         self.v_read = v_read
         self.v_half = abs(table.pulse.amplitude) / 2.0
+        streams = seed_streams(cfg.seed)
+        self.train_rng = np.random.default_rng(streams["train"])
+        if noise is not None and noise.rng_seed is None:
+            noise = replace(noise, rng_seed=streams["noise"])
         self.noise = noise
-        self.train_rng = np.random.default_rng(seed_streams(cfg.seed)["train"])
         if not abs(v_read) < params.v_off:
             raise ValueError("v_read would disturb the devices")
         if not self.v_half < params.v_off:
@@ -169,7 +172,8 @@ def train_lockstep(
     held potentiation noise draw, each phase gets its own call instead.
 
     The crossbars must share device params and programming pulse, and each
-    needs its own noise model (or None).  The event log records one
+    needs its own noise model (or None); a crossbar binds a model given
+    without rng_seed to its own copy.  The event log records one
     crossbar's events, one block per phase, so it needs a single crossbar.
     """
     if log is not None and len(crossbars) != 1:
@@ -178,7 +182,10 @@ def train_lockstep(
         raise ValueError("crossbars in lockstep must share device params and pulse")
     models = [id(xb.noise) for xb in crossbars if xb.noise is not None]
     if len(set(models)) < len(models):
-        raise ValueError("crossbars in lockstep need one noise model each, not a shared one")
+        raise ValueError(
+            "crossbars in lockstep cannot share a noise model with an rng_seed; "
+            "leave rng_seed unset so that each run draws from its own stream"
+        )
     table, params = crossbars[0].table, crossbars[0].params
     decode = table.decode_index
 
@@ -236,13 +243,13 @@ def reference_current_level(
 def init_crossbar(
     cfg: NetworkConfig,
     params: DeviceParams | None = None,
-    table: MetastateTable | None = None,
     v_read: float = 0.3,
     noise: NoiseModel | None = None,
 ) -> Crossbar:
     """Build a crossbar mirroring the behavioral network's initial state.
 
-    The mask and the random high/low efficacy assignment are drawn from the
+    The metastate table is calibrated for the config's level count.  The
+    mask and the random high/low efficacy assignment are drawn from the
     same config-derived stream the behavioral model uses, so both paths
     start from identical synapses.  Connected devices are programmed to
     the plateau of their chain index; pruned crosspoints sit at x = 0.
@@ -251,21 +258,11 @@ def init_crossbar(
         raise ValueError("the gradient model has no crossbar realization")
     if params is None:
         params = DeviceParams.default()
-    if table is None:
-        table = calibrate_metastate_table(
-            params, n_levels=cfg.effective_levels, ratio_bounds=None
-        )
-    if table.n_levels != cfg.effective_levels:
-        raise ValueError("table level count does not match the config")
+    table = calibrate_metastate_table(params, n_levels=cfg.effective_levels, ratio_bounds=None)
     net = BehavioralNetwork.initialize(cfg)
     x = np.zeros((cfg.n_in, cfg.n_out))
     x[net.mask] = table.plateaus[net.state[net.mask]]
     return Crossbar(cfg, x, net.mask, params, table, v_read, noise)
-
-
-def seeded_noise(seed: int, sigma: float = NoiseModel.sigma, enabled: bool = True) -> NoiseModel:
-    """Programming noise of one hardware run, on the seed's own noise stream."""
-    return NoiseModel(sigma=sigma, enabled=enabled, rng_seed=seed_streams(seed)["noise"])
 
 
 def run_lifetime_hw(
@@ -273,32 +270,26 @@ def run_lifetime_hw(
     n_patterns: int = 100,
     params: DeviceParams | None = None,
     comparator: ComparatorConfig | None = None,
-    noise: NoiseModel | Sequence[NoiseModel | None] | str | None = "default",
+    noise: NoiseModel | None = NoiseModel(),
     event_log: EventLog | None = None,
 ) -> AccuracyTrace | list[AccuracyTrace]:
     """Hardware lifetime run under the same protocol as the behavioral path.
 
     Patterns and the initial synapse assignment are identical to the
     behavioral run with the same config; only inference and updates go
-    through the device model.  Programming noise defaults to
-    :func:`seeded_noise` of cfg.seed; pass NoiseModel.off() to disable.
-    comparator names the column decision rule; its only mode, the fixed
-    reference, is the one every crossbar uses.
+    through the device model.  A noise model without rng_seed, such as the
+    default at sigma 0.25, draws from the noise stream of cfg.seed; None or
+    sigma = 0 turns noise off.  comparator names the column decision rule;
+    its only mode, the fixed reference, is the one every crossbar uses.
 
     Given a sequence of configs, the runs go in lockstep through
     :func:`train_lockstep` and one trace per config comes back, each equal
-    to the trace of that config run alone; noise is then "default" or one
-    model (or None) per config, and an event log needs a single config.
+    to the trace of that config run alone; a noise model with rng_seed set
+    cannot be shared, and an event log needs a single config.
     """
     one = isinstance(cfg, NetworkConfig)
     cfgs = [cfg] if one else list(cfg)
-    if noise == "default":
-        noises = [seeded_noise(c.seed) for c in cfgs]
-    else:
-        noises = [noise] if one else list(noise)
-        if len(noises) != len(cfgs):
-            raise ValueError("need one noise model per config")
-    crossbars = [init_crossbar(c, params=params, noise=n) for c, n in zip(cfgs, noises)]
+    crossbars = [init_crossbar(c, params=params, noise=noise) for c in cfgs]
     counter = iter(range(n_patterns))
 
     def step(pats: list[Pattern]) -> None:

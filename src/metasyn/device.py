@@ -14,7 +14,8 @@ x = 0.5, which makes a depressing pulse retrace a potentiating one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -74,6 +75,9 @@ class DeviceParams:
     p_exp: float = 2.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.g_on > self.g_off >= 0.0:
             raise ValueError("need g_on > g_off >= 0")
         if not (self.v_on < 0.0 < self.v_off):
@@ -132,32 +136,39 @@ class PulseSpec:
 class NoiseModel:
     """Multiplicative Gaussian programming noise on each integration step.
 
-    Each step's state increment is scaled by (1 + N(0, sigma)).  The
-    generator is created lazily from rng_seed so a run owns one stream.
+    Each step's state increment is scaled by (1 + N(0, sigma)); sigma = 0 is
+    noise off.  The generator is created lazily from rng_seed so a run owns
+    one stream.  A model without rng_seed cannot draw: a crossbar replaces
+    it by a copy on its run's own noise stream, so one such model can serve
+    many runs.
     """
 
     sigma: float = 0.25
-    enabled: bool = True
-    rng_seed: int | np.random.SeedSequence = 0
+    rng_seed: int | np.random.SeedSequence | None = None
     _rng: np.random.Generator | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         # written so that NaN fails too, instead of reading as noise off
-        if not self.sigma >= 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
     @property
     def active(self) -> bool:
-        return self.enabled and self.sigma > 0.0
+        return self.sigma > 0.0
 
     def rng(self) -> np.random.Generator:
         if self._rng is None:
+            if self.rng_seed is None:
+                raise ValueError(
+                    "noise model has no rng_seed: set one, or leave it unset and "
+                    "let a crossbar bind the model to its run's noise stream"
+                )
             self._rng = np.random.default_rng(self.rng_seed)
         return self._rng
 
     @classmethod
     def off(cls) -> "NoiseModel":
-        return cls(enabled=False)
+        return cls(sigma=0.0)
 
 
 def window(x, params: DeviceParams):
@@ -238,7 +249,7 @@ def integrate_pulse(
     a shorter final step covers any remainder.  The voltage factor is
     computed once per device, and each stage only evaluates the window, in
     preallocated work arrays.  Each step's increment picks up multiplicative
-    noise when enabled, drawn step by step from the noise stream in blocks
+    noise when active, drawn step by step from the noise stream in blocks
     of whole steps, and the state is clamped to [0, 1] after every step.
     Sub-threshold drive gives a derivative of exactly zero in both stages,
     so the state is left bit-identical.

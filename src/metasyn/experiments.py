@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .crossbar import run_lifetime_hw, seeded_noise
+from .crossbar import run_lifetime_hw
 from .device import DeviceParams, NoiseModel
 from .network import AccuracyTrace, Model, NetworkConfig, run_lifetime
 
@@ -34,8 +34,8 @@ class ExperimentSpec:
     seeds are applied by replacing base.seed per run.  The hardware flag
     runs cells on the crossbar; a comparison adds crossbar runs for the
     binary and multistate models next to the behavioral ones.  Hardware
-    runs use the device params and, when noise is on, programming noise of
-    the given sigma on each seed's own noise stream.
+    runs use the device params and programming noise of the given sigma
+    (0 for none) on each seed's own noise stream.
     """
 
     base: NetworkConfig = field(default_factory=NetworkConfig)
@@ -48,7 +48,6 @@ class ExperimentSpec:
     f_grid: tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9)
     params: DeviceParams = field(default_factory=DeviceParams)
     sigma: float = NoiseModel.sigma
-    noise: bool = True
 
     def __post_init__(self) -> None:
         for name, (bound, ok) in _GRID_RANGES.items():
@@ -62,12 +61,7 @@ class ExperimentSpec:
             raise ValueError("n_patterns must be >= 1")
         if not 0.0 < self.mean_threshold < 1.0:
             raise ValueError("mean_threshold must lie in (0, 1)")
-        if not self.sigma >= 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-    def noise_for(self, seed: int) -> NoiseModel:
-        """Programming noise of one hardware run, on the seed's own stream."""
-        return seeded_noise(seed, self.sigma, self.noise)
+        NoiseModel(sigma=self.sigma)  # the noise model checks sigma
 
 
 @dataclass(frozen=True)
@@ -184,12 +178,12 @@ def run_cells(
     sw_cfgs = [c for _, cfgs, hw in runs if not hw for c in cfgs]
     hw_cfgs = [c for _, cfgs, hw in runs if hw for c in cfgs]
     sw_traces = [run_lifetime(c, n_patterns=spec.n_patterns) for c in sw_cfgs]
+    noise = NoiseModel(sigma=spec.sigma)
     hw_traces = [
         trace
         for group in _lockstep_groups(hw_cfgs)
         for trace in run_lifetime_hw(
-            group, n_patterns=spec.n_patterns, params=spec.params,
-            noise=[spec.noise_for(c.seed) for c in group],
+            group, n_patterns=spec.n_patterns, params=spec.params, noise=noise
         )
     ]
     done = {False: iter(sw_traces), True: iter(hw_traces)}

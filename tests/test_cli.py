@@ -3,13 +3,15 @@ deterministic reruns, and the seed-offset environment knob."""
 
 import csv
 import hashlib
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from metasyn import cli, experiments
-from metasyn.device import DeviceParams
+from metasyn.device import DeviceParams, NoiseModel
 from metasyn.experiments import ExperimentSpec
 from metasyn.network import AccuracyTrace, Model, NetworkConfig
 from metasyn.cli import (
@@ -96,7 +98,7 @@ KEYS = [
     "f_grid",
     "g_on", "g_off", "v_off", "v_on", "k_off", "k_on", "alpha_off", "alpha_on",
     "d_thickness", "tau", "p_exp",
-    "sigma", "noise",
+    "sigma",
     "out_dir",
 ]
 
@@ -110,15 +112,23 @@ BAD = {
     "g_on": "1e-8", "g_off": "-1e-9", "v_off": "-0.5", "v_on": "0.5",
     "k_off": "-1.0", "k_on": "1.0", "alpha_off": "-1.0", "alpha_on": "-1.0",
     "d_thickness": "0.0", "tau": "-1.0", "p_exp": "3.0",
-    "sigma": "-0.1", "noise": "maybe",
+    "sigma": "-0.1",
     "out_dir": "",
 }
 
 
 def test_key_set_is_pinned():
     keys = [line.split(" = ")[0] for line in serialize_config(RunConfig()).splitlines()]
-    assert keys == KEYS and len(KEYS) == 31
+    assert keys == KEYS and len(KEYS) == 30
     assert sorted(BAD) == sorted(KEYS)
+
+
+def test_readme_key_list_matches_the_keys():
+    """The README's "Keys cover ..." paragraph names every config key, and
+    only those, so a key added or removed cannot leave the docs behind."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Keys cover"):].split("\n\n", 1)[0]
+    assert set(re.findall(r"`(\w+)`", paragraph)) == set(cli._KEYS)
 
 
 @pytest.mark.parametrize("key", KEYS)
@@ -137,12 +147,31 @@ def test_every_key_range_checked(key):
         lambda: ExperimentSpec(c_grid=(1.5,)),
         lambda: ExperimentSpec(f_grid=(float("nan"),)),
         lambda: ExperimentSpec(sigma=float("nan")),
+        lambda: ExperimentSpec(sigma=float("inf")),
+        lambda: NoiseModel(sigma=float("inf")),
+        lambda: DeviceParams(g_on=float("inf")),
+        lambda: DeviceParams(k_off=float("inf")),
+        lambda: DeviceParams(tau=float("inf")),
     ],
-    ids=["learning_rate", "seed", "alpha_off", "tau", "c_grid", "f_nan", "sigma_nan"],
+    ids=[
+        "learning_rate", "seed", "alpha_off", "tau", "c_grid", "f_nan", "sigma_nan",
+        "sigma_inf", "noise_sigma_inf", "g_on_inf", "k_off_inf", "tau_inf",
+    ],
 )
 def test_library_rejects_what_the_cli_rejects(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("sigma", "inf"), ("g_on", "inf"), ("k_off", "inf"), ("k_on", "-inf"), ("tau", "inf")],
+)
+def test_infinite_value_rejected_at_its_line(key, value):
+    # sigma = inf used to parse and then give NaN states; infinite k_off, k_on
+    # or tau surfaced only later, as a misleading calibration error
+    with pytest.raises(ConfigError, match=rf"^line 2: '{key}' rejected: .*finite"):
+        parse_config(f"n_in = 32\n{key} = {value}\n")
 
 
 @pytest.mark.parametrize("doc", ["g_on = 5e-8\ng_off = 1e-8\n", "g_off = 1e-8\ng_on = 5e-8\n"])
@@ -202,7 +231,6 @@ d_thickness = 1.5
 tau = 1.5
 p_exp = 4.0
 sigma = 0.1
-noise = false
 """
 EVERY_BASE = NetworkConfig(
     n_in=24, n_out=20, connectivity=0.3, activity=0.35, n_levels=2,
@@ -243,9 +271,8 @@ def test_every_key_reaches_the_run(tmp_path, monkeypatch, cmd):
             if isinstance(cfg, NetworkConfig):
                 calls.append((kind, cfg, n_patterns, kwargs))
                 return AccuracyTrace(learning=ones, mean=ones)
-            # a lockstep group: one entry per run, with that run's noise
-            for c, noise in zip(cfg, kwargs["noise"], strict=True):
-                calls.append((kind, c, n_patterns, {**kwargs, "noise": noise}))
+            # a lockstep group: one entry per run
+            calls.extend((kind, c, n_patterns, kwargs) for c in cfg)
             return [AccuracyTrace(learning=ones, mean=ones) for _ in cfg]
 
         return run
@@ -263,7 +290,8 @@ def test_every_key_reaches_the_run(tmp_path, monkeypatch, cmd):
         assert n_patterns == 6
         if kind == "hw":
             assert kwargs["params"] == EVERY_PARAMS
-            assert (kwargs["noise"].sigma, kwargs["noise"].enabled) == (0.1, False)
+            # unbound, so each run's crossbar draws from its own seed's stream
+            assert kwargs["noise"] == NoiseModel(sigma=0.1)
 
 
 # ---- seed offset ------------------------------------------------------------------
@@ -429,8 +457,8 @@ def _hw_compare_traces(out, extra: str = "") -> bytes:
 
 @pytest.mark.parametrize(
     "extra",
-    ["sigma = 0.0\n", "noise = false\n", "k_off = 8.0e6\nk_on = -8.0e6\n"],
-    ids=["sigma", "noise", "k_pair"],
+    ["sigma = 0.0\n", "k_off = 8.0e6\nk_on = -8.0e6\n"],
+    ids=["sigma", "k_pair"],
 )
 def test_hardware_compare_honours_device_and_noise_keys(tmp_path, monkeypatch, extra):
     monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)

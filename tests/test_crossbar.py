@@ -25,7 +25,7 @@ from metasyn.device import (
     calibrate_metastate_table,
     conductance,
 )
-from metasyn.network import Model, NetworkConfig, make_pattern_set, run_lifetime
+from metasyn.network import Model, NetworkConfig, make_pattern_set, run_lifetime, seed_streams
 from metasyn.synapse import Efficacy, MetaState, UpdateDirection, chain_state, transition
 
 SMALL = NetworkConfig(n_in=5, n_out=3, connectivity=0.6, activity=0.5, seed=9)
@@ -173,33 +173,52 @@ def test_run_lifetime_hw_rejects_no_patterns(n_patterns):
         run_lifetime_hw(SMALL, n_patterns=n_patterns)
 
 
+def test_default_noise_is_the_seeds_noise_stream():
+    """The default model is unbound; each run binds it to its own seed's
+    noise stream, so it equals a model bound there by hand."""
+    cfg = NetworkConfig(n_in=16, n_out=16, connectivity=0.5, activity=0.5, seed=4)
+    bound = NoiseModel(sigma=0.25, rng_seed=seed_streams(cfg.seed)["noise"])
+    default = run_lifetime_hw(cfg, n_patterns=8)
+    by_hand = run_lifetime_hw(cfg, n_patterns=8, noise=bound)
+    quiet = run_lifetime_hw(cfg, n_patterns=8, noise=None)
+    assert default.mean.tobytes() == by_hand.mean.tobytes()
+    assert default.learning.tobytes() == by_hand.learning.tobytes()
+    assert default.mean.tobytes() != quiet.mean.tobytes()
+
+
+def test_noise_off_is_sigma_zero():
+    """sigma = 0, NoiseModel.off() and None all give the same trace."""
+    cfg = NetworkConfig(n_in=16, n_out=16, connectivity=0.5, activity=0.5, seed=4)
+    traces = [
+        run_lifetime_hw(cfg, n_patterns=8, noise=noise)
+        for noise in (NoiseModel(sigma=0.0), NoiseModel.off(), None)
+    ]
+    for t in traces[1:]:
+        assert t.learning.tobytes() == traces[0].learning.tobytes()
+        assert t.mean.tobytes() == traces[0].mean.tobytes()
+
+
 def test_lockstep_runs_equal_runs_alone():
     """Configs of different sizes, models and q in one lockstep group give
-    the traces each gives alone, noise models passed or defaulted."""
+    the traces each gives alone, with one noise model for the whole group
+    or the default."""
     cfgs = [
         NetworkConfig(n_in=16, n_out=16, connectivity=0.5, activity=0.5, seed=1),
         NetworkConfig(n_in=24, n_out=20, model=Model.BINARY, q=0.6, seed=2),
         NetworkConfig(n_in=16, n_out=16, updates_per_pattern=3, q=0.5, seed=3),
     ]
-
-    def mixed():
-        return [NoiseModel(sigma=0.1, rng_seed=7), NoiseModel.off(), None]
-
-    for noise in ("default", mixed()):
-        together = run_lifetime_hw(cfgs, n_patterns=10, noise=noise)
-        own = ["default"] * len(cfgs) if noise == "default" else mixed()
+    noises = [{}, {"noise": NoiseModel(sigma=0.1)}, {"noise": NoiseModel.off()}, {"noise": None}]
+    for kwargs in noises:
+        together = run_lifetime_hw(cfgs, n_patterns=10, **kwargs)
         for k, cfg in enumerate(cfgs):
-            alone = run_lifetime_hw(cfg, n_patterns=10, noise=own[k])
+            alone = run_lifetime_hw(cfg, n_patterns=10, **kwargs)
             assert together[k].learning.tobytes() == alone.learning.tobytes()
             assert together[k].mean.tobytes() == alone.mean.tobytes()
 
 
 def test_lockstep_rejects_what_it_cannot_share():
-    cfgs = [SMALL, SMALL]
-    with pytest.raises(ValueError, match="one noise model per config"):
-        run_lifetime_hw(cfgs, n_patterns=2, noise=[NoiseModel.off()])
     with pytest.raises(ValueError, match="one crossbar"):
-        run_lifetime_hw(cfgs, n_patterns=2, event_log=EventLog())
+        run_lifetime_hw([SMALL, SMALL], n_patterns=2, event_log=EventLog())
     a = init_crossbar(SMALL)
     b = init_crossbar(SMALL, params=DeviceParams(g_off=2e-7))
     pat = make_pattern_set(SMALL, 1)[0]
@@ -208,20 +227,34 @@ def test_lockstep_rejects_what_it_cannot_share():
 
 
 def test_lockstep_rejects_a_shared_noise_model():
-    """One noise model feeding two runs would make each trace depend on the
-    group's order; None twice and distinct models with equal seeds are fine."""
+    """A bound noise model feeding two runs would make each trace depend on
+    the group's order; None for both, and distinct models with equal seeds
+    next to models of other kinds, are fine."""
     shared = NoiseModel(sigma=0.1, rng_seed=7)
-    with pytest.raises(ValueError, match="noise model"):
-        run_lifetime_hw([SMALL, SMALL], n_patterns=2, noise=[shared, shared])
+    with pytest.raises(ValueError, match="rng_seed"):
+        run_lifetime_hw([SMALL, SMALL], n_patterns=2, noise=shared)
     a, b = init_crossbar(SMALL, noise=shared), init_crossbar(SMALL, noise=shared)
     pat = make_pattern_set(SMALL, 1)[0]
-    with pytest.raises(ValueError, match="noise model"):
+    with pytest.raises(ValueError, match="rng_seed"):
         train_lockstep([a, b], [pat, pat])
-    run_lifetime_hw([SMALL, SMALL], n_patterns=2, noise=[None, None])
-    equal_seeds = [NoiseModel(sigma=0.1, rng_seed=7), NoiseModel(sigma=0.1, rng_seed=7)]
-    together = run_lifetime_hw([SMALL, SMALL], n_patterns=5, noise=equal_seeds)
-    alone = run_lifetime_hw(SMALL, n_patterns=5, noise=NoiseModel(sigma=0.1, rng_seed=7))
-    assert all(t.mean.tobytes() == alone.mean.tobytes() for t in together)
+    run_lifetime_hw([SMALL, SMALL], n_patterns=2, noise=None)
+
+    cfg = NetworkConfig(n_in=16, n_out=16, connectivity=0.5, activity=0.5, seed=1)
+    pats = make_pattern_set(cfg, 6)
+
+    def models():
+        equal_seeds = [NoiseModel(sigma=0.1, rng_seed=7), NoiseModel(sigma=0.1, rng_seed=7)]
+        return equal_seeds + [NoiseModel(), NoiseModel.off(), None]
+
+    together = [init_crossbar(cfg, noise=noise) for noise in models()]
+    for pat in pats:
+        train_lockstep(together, [pat] * len(together))
+    for xb, noise in zip(together, models(), strict=True):
+        alone = init_crossbar(cfg, noise=noise)
+        for pat in pats:
+            alone.train_two_phase(pat)
+        assert xb.x.tobytes() == alone.x.tobytes()
+    assert together[0].x.tobytes() != together[-1].x.tobytes()
 
 
 def test_one_pulse_call_per_round_equals_one_per_phase(monkeypatch):

@@ -499,13 +499,29 @@ def test_noisy_programming_mostly_tracks_noise_free(params, table):
 def test_noise_model_off():
     assert not NoiseModel.off().active
     assert NoiseModel(sigma=0.0).active is False
+    assert NoiseModel.off() == NoiseModel(sigma=0.0)
 
 
-@pytest.mark.parametrize("sigma", [float("nan"), -0.1], ids=["nan", "negative"])
+@pytest.mark.parametrize(
+    "sigma", [float("nan"), -0.1, float("inf")], ids=["nan", "negative", "inf"]
+)
 def test_noise_model_rejects_bad_sigma(sigma):
-    # NaN used to pass the check and then read as noise off
+    # NaN used to pass the check and then read as noise off; inf gave NaN states
     with pytest.raises(ValueError, match="sigma"):
         NoiseModel(sigma=sigma)
+
+
+def test_unbound_noise_model_refuses_to_draw(params, table):
+    """A model without rng_seed used to draw from seed 0 in every run; now
+    only a crossbar, which binds it to its run's stream, can make it draw."""
+    with pytest.raises(ValueError, match="rng_seed"):
+        NoiseModel().rng()
+    low0 = DeviceState(x=table.x_for(MetaState(Efficacy.LOW, 0, 3)))
+    with pytest.raises(ValueError, match="rng_seed"):
+        program_transition(low0, POT, params, table, NoiseModel())
+    # noise off draws nothing, so it needs no stream
+    quiet = program_transition(low0, POT, params, table, NoiseModel.off())
+    assert quiet == program_transition(low0, POT, params, table)
 
 
 def test_pulse_spec_validation():
@@ -550,6 +566,12 @@ def test_device_params_validation():
         DeviceParams(k_off=-1.0)
     with pytest.raises(ValueError):
         DeviceParams(d_thickness=0.0)
+    # an infinite value used to give a constant trace or a misleading
+    # calibration error; NaN fails by name too
+    for name in ("g_on", "k_off", "k_on", "tau", "alpha_on", "d_thickness"):
+        for bad in (float("inf"), -float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                DeviceParams(**{name: bad})
     # the window must stay symmetric about x = 0.5: only even powers
     for bad in (1.5, 3.0, 0.0, -2.0):
         with pytest.raises(ValueError, match="p_exp"):

@@ -15,7 +15,8 @@ from metasyn.experiments import (
 )
 from metasyn import experiments
 from metasyn.crossbar import run_lifetime_hw
-from metasyn.network import AccuracyTrace, Model, NetworkConfig
+from metasyn.device import NoiseModel
+from metasyn.network import AccuracyTrace, Model, NetworkConfig, seed_streams
 
 BASE = NetworkConfig(n_in=32, n_out=32)
 
@@ -241,14 +242,15 @@ LOCKSTEP_BASE = NetworkConfig(n_in=16, n_out=16, connectivity=0.5, activity=0.5)
 @pytest.mark.parametrize(
     "rule", [{}, {"q": 0.5, "updates_per_pattern": 3}], ids=["q1", "q0.5-upp3"]
 )
-@pytest.mark.parametrize("noise", [True, False], ids=["noisy", "quiet"])
+@pytest.mark.parametrize("sigma", [NoiseModel.sigma, 0.0], ids=["noisy", "quiet"])
 @pytest.mark.parametrize("experiment", ["compare", "sweep_size"])
-def test_lockstep_traces_equal_independent_runs(experiment, noise, rule):
+def test_lockstep_traces_equal_independent_runs(experiment, sigma, rule):
     """run_cells programs every hardware (cell, seed) run in one lockstep
-    group; each trace must be byte-identical to that run alone."""
+    group; each trace must be byte-identical to that run alone, with its
+    noise on its own seed's stream."""
     base = replace(LOCKSTEP_BASE, **rule)
     spec = ExperimentSpec(
-        base=base, seeds=(0, 1, 2), n_patterns=12, hardware=True, noise=noise,
+        base=base, seeds=(0, 1, 2), n_patterns=12, hardware=True, sigma=sigma,
         size_grid=(16, 24),
     )
     if experiment == "compare":
@@ -264,7 +266,7 @@ def test_lockstep_traces_equal_independent_runs(experiment, noise, rule):
                 replace(cfg, seed=seed),
                 n_patterns=spec.n_patterns,
                 params=spec.params,
-                noise=spec.noise_for(seed),
+                noise=NoiseModel(sigma=sigma, rng_seed=seed_streams(seed)["noise"]),
             )
             assert trace.learning.tobytes() == alone.learning.tobytes()
             assert trace.mean.tobytes() == alone.mean.tobytes()
