@@ -13,8 +13,10 @@ x = 0.5, which makes a depressing pulse retrace a potentiating one.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import threading
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -42,6 +44,12 @@ _TREE_DEPTH = 10
 # this many bytes: one draw covers a whole pulse on a few hundred devices,
 # while a pulse on many devices never holds its full draw in memory.
 _NOISE_BLOCK_BYTES = 1 << 18
+# A noisy call on at least this many devices draws its blocks on a producer
+# thread while the Heun steps run: below it the handoff costs more than the overlap saves.
+_DRAW_AHEAD_DEVICES = 4096
+# Blocks queued between the producer and the integrator: with the block being
+# drawn and the block in use, a call holds at most four blocks (1 MiB).
+_DRAW_AHEAD_BLOCKS = 2
 
 # A pulse call in which one noise model feeds two segments holds the earlier
 # segment's whole draw; callers merge two pulses only within this budget.
@@ -296,28 +304,85 @@ def integrate_pulse(
 
     noisy = any(m is not None for m in models)
     block = max(1, _NOISE_BLOCK_BYTES // max(xa.nbytes, 1)) if noisy else len(steps)
-    for start in range(0, len(steps), block):
-        chunk = steps[start : start + block]
-        if noisy:
-            parts = [
-                held[i][start : start + len(chunk)] if i in held
-                else np.ones((len(chunk), counts[i])) if m is None
-                else draw(m, len(chunk), counts[i])
-                for i, m in enumerate(models)
-            ]
-            gains = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        for i, dt in enumerate(chunk):
-            rate(xa, k1)
-            np.multiply(k1, dt, out=y)
-            _clamp_unit(np.add(xa, y, out=y))
-            rate(y, k2)
-            np.add(k1, k2, out=k1)
-            np.multiply(_HALF, k1, out=k1)
-            np.multiply(k1, dt, out=k1)
-            if noisy:
-                np.multiply(k1, gains[i], out=k1)
-            _clamp_unit(np.add(xa, k1, out=xa))
+    starts = range(0, len(steps), block)
+
+    def gains_for(start: int) -> np.ndarray:
+        n_steps = len(steps[start : start + block])
+        parts = [
+            held[i][start : start + n_steps] if i in held
+            else np.ones((n_steps, counts[i])) if m is None
+            else draw(m, n_steps, counts[i])
+            for i, m in enumerate(models)
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+    if not noisy:
+        blocks = contextlib.nullcontext([None])
+    elif xa.size < _DRAW_AHEAD_DEVICES:
+        blocks = contextlib.nullcontext(map(gains_for, starts))
+    else:
+        blocks = _drawn_ahead(gains_for, starts)
+    with blocks as gains_blocks:
+        for start, gains in zip(starts, gains_blocks):
+            for i, dt in enumerate(steps[start : start + block]):
+                rate(xa, k1)
+                np.multiply(k1, dt, out=y)
+                _clamp_unit(np.add(xa, y, out=y))
+                rate(y, k2)
+                np.add(k1, k2, out=k1)
+                np.multiply(_HALF, k1, out=k1)
+                np.multiply(k1, dt, out=k1)
+                if gains is not None:
+                    np.multiply(k1, gains[i], out=k1)
+                _clamp_unit(np.add(xa, k1, out=xa))
     return float(xa[0]) if not shape else xa.reshape(shape)
+
+
+@contextlib.contextmanager
+def _drawn_ahead(make, args: range):
+    """Yield an iterator over make(a) for each a in args, built in order on a
+    producer thread that runs at most _DRAW_AHEAD_BLOCKS items ahead.
+
+    numpy releases the interpreter lock inside standard-normal fills and long
+    ufunc loops, so the producer's draws overlap the consumer's arithmetic.
+    The items are the same objects, made in the same order, as a plain loop
+    would make, so every random stream yields the same numbers.  An error
+    raised in the producer is raised again in the consumer, and on leaving
+    the block the producer is stopped and joined, on success or on error.
+    """
+    import queue
+
+    handoff = queue.Queue(maxsize=_DRAW_AHEAD_BLOCKS)
+    stop = threading.Event()
+
+    def produce():
+        try:
+            for a in args:
+                if stop.is_set():
+                    return
+                handoff.put(make(a))
+        except BaseException as exc:  # handed to the consumer, which raises it
+            handoff.put(exc)
+
+    def consume():
+        for _ in args:
+            item = handoff.get()
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+
+    producer = threading.Thread(target=produce, name="metasyn-noise", daemon=True)
+    producer.start()
+    try:
+        yield consume()
+    finally:
+        stop.set()
+        # after stop is set the producer puts at most one more item, which
+        # the emptied queue takes without blocking
+        with contextlib.suppress(queue.Empty):
+            while True:
+                handoff.get_nowait()
+        producer.join()
 
 
 @dataclass(frozen=True)

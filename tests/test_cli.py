@@ -3,7 +3,10 @@ deterministic reruns, and the seed-offset environment knob."""
 
 import csv
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -493,3 +496,16 @@ def test_main_runs_with_config(tmp_path, capsys, monkeypatch):
     assert main(["run", str(cfgfile)]) == 0
     out = capsys.readouterr().out
     assert "traces.csv" in out
+
+
+def test_importing_the_cli_loads_no_executor():
+    """Every command pays its imports.  concurrent.futures would bring in
+    logging, about 11 ms, for a producer thread that threading and queue
+    serve."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, metasyn.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -292,6 +292,23 @@ def test_one_pulse_call_per_round_equals_one_per_phase(monkeypatch):
                 assert col_a.dtype == col_b.dtype and col_a.tobytes() == col_b.tobytes()
 
 
+def test_noise_drawn_ahead_leaves_lockstep_traces_unchanged(monkeypatch):
+    """Every noisy pulse call of a two-run lockstep group drawing its noise on
+    a producer thread gives the serial loop's trace bytes."""
+    cfgs = [
+        NetworkConfig(n_in=64, n_out=64, connectivity=0.5, activity=0.5, seed=seed)
+        for seed in (1, 2)
+    ]
+    ahead = []
+    drawn_ahead = device._drawn_ahead
+    monkeypatch.setattr(device, "_drawn_ahead", lambda *a: ahead.append(a) or drawn_ahead(*a))
+    runs = []
+    for gate in (10**9, 1):
+        monkeypatch.setattr(device, "_DRAW_AHEAD_DEVICES", gate)
+        runs.append([(t.learning.tobytes(), t.mean.tobytes()) for t in run_lifetime_hw(cfgs, 10)])
+    assert ahead and runs[0] == runs[1]
+
+
 def test_hardware_run_deterministic():
     cfg = NetworkConfig(n_in=32, n_out=32, seed=6)
     a = run_lifetime_hw(cfg, n_patterns=15)

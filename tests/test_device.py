@@ -1,11 +1,15 @@
 """Device model tests: window shape, threshold dynamics, calibration, and
 the device/state-machine correspondence."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metasyn import device
 from metasyn.device import (
     CalibrationError,
     DeviceParams,
@@ -326,6 +330,145 @@ def test_segmented_pulse_equals_separate_calls(params, counts, phases, amplitude
 def test_segment_counts_must_cover_the_states(params):
     with pytest.raises(ValueError, match="add up"):
         integrate_pulse(np.zeros(4), PulseSpec(1.2), params, [(None, 3)])
+
+
+# ---- noise drawn ahead on a producer thread -------------------------------------
+
+
+SERIAL = 10**9  # a draw-ahead gate no call reaches
+
+NOISE_KINDS = {
+    "a": lambda: NoiseModel(sigma=0.25, rng_seed=1),
+    "b": lambda: NoiseModel(sigma=0.1, rng_seed=2),
+    "c": lambda: NoiseModel(sigma=0.25, rng_seed=3),
+    "off": NoiseModel.off,
+    None: lambda: None,
+}
+
+
+@pytest.fixture
+def ahead_calls(monkeypatch):
+    """The arguments of every call that draws its noise ahead."""
+    calls = []
+    drawn_ahead = device._drawn_ahead
+    monkeypatch.setattr(device, "_drawn_ahead", lambda *a: calls.append(a) or drawn_ahead(*a))
+    return calls
+
+
+def _within(fn, timeout=60.0):
+    """What fn() raises (None if nothing), run on a helper thread that must
+    end within timeout, so that a hung handoff fails instead of hanging."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(timeout)
+    assert not helper.is_alive(), "the pulse call did not return"
+    return raised[0] if raised else None
+
+
+@pytest.mark.parametrize(
+    "spec, pulse, block_bytes",
+    [
+        ([("a", 6000, 1)], PulseSpec(1.2), None),
+        (
+            [("a", 2500, 1), (None, 1000, 1), ("off", 1500, 1), ("b", 0, 1), ("c", 2000, 1)],
+            PulseSpec(-1.2),
+            None,
+        ),
+        (
+            [("a", 3000, 1), (None, 500, 1), ("b", 1000, 1), ("a", 2000, -1), ("b", 700, -1)],
+            PulseSpec(1.2),
+            None,
+        ),
+        ([("a", 5000, 1)], PulseSpec(1.2, duration=15.05e-6), None),
+        ([("a", 3000, 1), ("b", 2000, -1)], PulseSpec(1.2), 8),
+    ],
+    ids=["one-model", "segments", "two-phase-held", "short-final-step", "one-step-blocks"],
+)
+def test_drawing_ahead_is_bit_identical(params, monkeypatch, ahead_calls, spec, pulse, block_bytes):
+    """Noise blocks drawn on a producer thread give the serial loop's output
+    bytes and leave every stream where the serial loop leaves it."""
+    if block_bytes is not None:
+        monkeypatch.setattr(device, "_NOISE_BLOCK_BYTES", block_bytes)
+    x = np.random.default_rng(5).random(sum(count for _, count, _ in spec))
+    before = set(threading.enumerate())
+    runs = []
+    for gate in (SERIAL, 1):
+        monkeypatch.setattr(device, "_DRAW_AHEAD_DEVICES", gate)
+        models = {key: NOISE_KINDS[key]() for key, _, _ in spec}
+        segments = [(models[key], count, sign * pulse.amplitude) for key, count, sign in spec]
+        out = integrate_pulse(x, pulse, params, segments)
+        states = {k: m.rng().bit_generator.state for k, m in models.items() if m and m.active}
+        runs.append((out.tobytes(), states))
+    assert len(ahead_calls) == 1
+    assert runs[0] == runs[1]
+    assert set(threading.enumerate()) == before
+
+
+def test_a_producer_draw_error_is_raised_by_the_call(params, monkeypatch, ahead_calls):
+    """An unbound model cannot draw: on the producer thread its error must
+    reach the caller unchanged, and no thread may be left waiting."""
+    x = np.full(40_000, 0.5)
+    before = set(threading.enumerate())
+    errors = []
+    for gate in (SERIAL, device._DRAW_AHEAD_DEVICES):
+        monkeypatch.setattr(device, "_DRAW_AHEAD_DEVICES", gate)
+        errors.append(_within(lambda: integrate_pulse(x, PulseSpec(1.2), params, NoiseModel())))
+    serial, ahead = errors
+    assert len(ahead_calls) == 1
+    assert type(ahead) is type(serial) is ValueError
+    assert str(ahead) == str(serial) and "rng_seed" in str(ahead)
+    assert set(threading.enumerate()) == before
+
+
+def test_an_error_in_the_heun_loop_stops_the_producer(params, monkeypatch, ahead_calls):
+    """The integrator fails while the producer waits on a full handoff
+    queue; the call must still end the producer."""
+    clamps = []
+    clamp = device._clamp_unit
+
+    def failing_clamp(v):
+        clamps.append(v)
+        if len(clamps) == 7:
+            time.sleep(0.2)  # the producer fills the queue meanwhile
+            raise FloatingPointError("step failed")
+        return clamp(v)
+
+    monkeypatch.setattr(device, "_clamp_unit", failing_clamp)
+    x = np.full(40_000, 0.5)
+    before = set(threading.enumerate())
+    noise = NoiseModel(sigma=0.25, rng_seed=1)
+    error = _within(lambda: integrate_pulse(x, PulseSpec(1.2), params, noise))
+    assert len(ahead_calls) == 1
+    assert isinstance(error, FloatingPointError) and str(error) == "step failed"
+    assert set(threading.enumerate()) == before
+
+
+def test_calls_below_the_draw_ahead_gate_start_no_thread(params, monkeypatch):
+    """`compare` with hardware programs at most 2,375 devices per call and
+    `dump-trace` 532: both stay on the serial loop, where the handoff would
+    cost more than the overlap saves."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+    gate = device._DRAW_AHEAD_DEVICES
+    for n in (532, 2375, gate - 1):
+        integrate_pulse(np.full(n, 0.5), PulseSpec(1.2), params, NoiseModel(0.25, rng_seed=1))
+        two = [(NoiseModel(0.25, rng_seed=1), n - 100, 1.2), (NoiseModel.off(), 100, -1.2)]
+        integrate_pulse(np.full(n, 0.5), PulseSpec(1.2), params, two)
+    # noise off draws nothing, at any size
+    integrate_pulse(np.full(2 * gate, 0.5), PulseSpec(1.2), params, NoiseModel.off())
+    with pytest.raises(AssertionError, match="thread was started"):
+        integrate_pulse(np.full(gate, 0.5), PulseSpec(1.2), params, NoiseModel(0.25, rng_seed=1))
 
 
 @pytest.mark.parametrize("n_levels", [1, 3, 5])
