@@ -308,23 +308,15 @@ def _meta_label(state) -> str:
 
 
 def write_events_csv(path: Path, events: EventLog, n_levels: int) -> None:
+    """One row per event, formatted directly: no field needs quoting (ints,
+    the phase words, float reprs as _fnum writes them, and H/L labels)."""
     labels = [_meta_label(chain_state(i, n_levels)) for i in range(2 * n_levels)]
     with _open_csv(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            [
-                "step",
-                "phase",
-                "row",
-                "col",
-                "x_before",
-                "x_after",
-                "meta_before",
-                "meta_after",
-            ]
+        fh.write("step,phase,row,col,x_before,x_after,meta_before,meta_after\n")
+        fh.writelines(
+            f"{step},{phase},{row},{col},{x0!r},{x1!r},{labels[i0]},{labels[i1]}\n"
+            for step, phase, row, col, x0, x1, i0, i1 in events.rows()
         )
-        for step, phase, row, col, x0, x1, i0, i1 in events.rows():
-            w.writerow([step, phase, row, col, _fnum(x0), _fnum(x1), labels[i0], labels[i1]])
 
 
 # ---- SVG output ------------------------------------------------------------

@@ -111,8 +111,11 @@ class Crossbar:
         self.v_half = abs(table.pulse.amplitude) / 2.0
         streams = seed_streams(cfg.seed)
         self.train_rng = np.random.default_rng(streams["train"])
-        if noise is not None and noise.rng_seed is None:
-            noise = replace(noise, rng_seed=streams["noise"])
+        # a copy with a fresh generator: the crossbar starts its stream from
+        # the beginning, and the caller's model never draws
+        if noise is not None:
+            seed = streams["noise"] if noise.rng_seed is None else noise.rng_seed
+            noise = replace(noise, rng_seed=seed, _rng=None)
         self.noise = noise
         if not abs(v_read) < params.v_off:
             raise ValueError("v_read would disturb the devices")
@@ -180,12 +183,6 @@ def train_lockstep(
         raise ValueError("an event log records the events of one crossbar")
     if len({(xb.params, xb.table.pulse) for xb in crossbars}) > 1:
         raise ValueError("crossbars in lockstep must share device params and pulse")
-    models = [id(xb.noise) for xb in crossbars if xb.noise is not None]
-    if len(set(models)) < len(models):
-        raise ValueError(
-            "crossbars in lockstep cannot share a noise model with an rng_seed; "
-            "leave rng_seed unset so that each run draws from its own stream"
-        )
     table, params = crossbars[0].table, crossbars[0].params
     decode = table.decode_index
 
@@ -289,6 +286,12 @@ def run_lifetime_hw(
     """
     one = isinstance(cfg, NetworkConfig)
     cfgs = [cfg] if one else list(cfg)
+    if len(cfgs) > 1 and noise is not None and noise.rng_seed is not None:
+        raise ValueError(
+            "runs in lockstep cannot share a noise model with an rng_seed, since every "
+            "run would draw the same noise; leave rng_seed unset so that each run "
+            "draws from its own stream"
+        )
     crossbars = [init_crossbar(c, params=params, noise=noise) for c in cfgs]
     counter = iter(range(n_patterns))
 

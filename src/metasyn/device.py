@@ -36,9 +36,13 @@ _IDEAL_K_OFF = 34098014.14676426
 # symmetric about it.
 _WINDOW_CENTRE = 0.5
 
-# Bisection levels the anchor search evaluates per vector pulse train: one
-# train covers all 2**depth - 1 midpoints the next depth steps could visit.
-_TREE_DEPTH = 10
+# Starting states the anchor search evaluates per round, in one vector pulse
+# train: a train on a few hundred devices costs about as much as on one.
+_CANDIDATES = 255
+# Every round keeps the whole tree below the bracket for as many levels as
+# fill a quarter of the candidates (6), so that a wrong root estimate still
+# advances the walk by that many steps.
+_FULL_LEVELS = (_CANDIDATES // 4 + 1).bit_length() - 1
 
 # Programming noise is drawn in blocks of whole integration steps of at most
 # this many bytes: one draw covers a whole pulse on a few hundred devices,
@@ -187,7 +191,8 @@ def window(x, params: DeviceParams):
     at either end cannot move regardless of drive.
     """
     xa = np.asarray(x, dtype=float)
-    value = _window_into(xa, -params.tau, params.p_exp, *(np.empty_like(xa) for _ in range(3)))
+    scratch = (np.empty_like(xa) for _ in range(3))
+    value = _window_into(xa, -params.tau, params.p_exp, params.p_exp == 2.0, *scratch)
     return value if value.ndim else float(value)
 
 
@@ -196,13 +201,22 @@ def window(x, params: DeviceParams):
 _ZERO, _HALF, _ONE, _FOUR, _CENTRE = (np.array(v) for v in (0.0, 0.5, 1.0, 4.0, _WINDOW_CENTRE))
 
 
-def _window_into(x, neg_tau, p_exp, out, shifted, tmp):
-    """window() of x into out, with neg_tau = -tau and scratch arrays shifted, tmp."""
+def _window_into(x, neg_tau, p_exp, square, out, shifted, tmp):
+    """window() of x into out, with neg_tau = -tau and scratch arrays shifted, tmp.
+
+    square says p_exp == 2: then s = x - 0.5 is squared once for both terms.
+    That gives the same bits, since s is 0 or at least 2**-54 in magnitude,
+    so 4 * (s * s) == (4 * s) * s, and s * s is what power(s, 2) returns.
+    """
     np.subtract(x, _CENTRE, out=shifted)
-    np.multiply(_FOUR, shifted, out=out)
-    np.multiply(out, shifted, out=out)
+    if square:
+        np.multiply(shifted, shifted, out=tmp)
+        np.multiply(_FOUR, tmp, out=out)
+    else:
+        np.multiply(_FOUR, shifted, out=out)
+        np.multiply(out, shifted, out=out)
+        np.power(shifted, p_exp, out=tmp)
     np.subtract(_ONE, out, out=out)
-    np.power(shifted, p_exp, out=tmp)
     np.multiply(neg_tau, tmp, out=tmp)
     np.exp(tmp, out=tmp)
     return np.multiply(out, tmp, out=out)
@@ -305,11 +319,13 @@ def integrate_pulse(
     }
     k1, k2, y, shifted, tmp = (np.empty_like(xa) for _ in range(5))
     neg_tau, p_exp, thickness = map(np.array, (-params.tau, params.p_exp, params.d_thickness))
+    # decided once per call: x / 1.0 == x, and see _window_into for p = 2
+    square, unit = params.p_exp == 2.0, params.d_thickness == 1.0
 
     def rate(xs, out):
-        _window_into(xs, neg_tau, p_exp, out, shifted, tmp)
+        _window_into(xs, neg_tau, p_exp, square, out, shifted, tmp)
         np.multiply(drive, out, out=out)
-        return np.divide(out, thickness, out=out)
+        return out if unit else np.divide(out, thickness, out=out)
 
     noisy = any(m is not None for m in models)
     block = max(1, _NOISE_BLOCK_BYTES // max(xa.nbytes, 1)) if noisy else len(steps)
@@ -449,53 +465,110 @@ def _pulse_train(x0: np.ndarray, count: int, pulse: PulseSpec, params: DevicePar
     return out
 
 
-def _find_anchor(n_levels: int, pulse: PulseSpec, params: DeviceParams) -> float:
-    """Bottom-of-chain state such that 2n-1 pulses end at its mirror image.
+def _tree_nodes(lo: float, hi: float, window: tuple[float, float]) -> np.ndarray:
+    """Midpoints of the bisection tree below the bracket [lo, hi], ascending:
+    every node of the first _FULL_LEVELS levels, then every node whose
+    interval meets window, level by level while at most _CANDIDATES fit.
+
+    A node's interval lies inside its parent's, so a node meeting the window
+    has a kept parent.  A node whose midpoint rounds onto a bound is left
+    out, since the bisection stops there.
+    """
+    los, his, levels, total = np.array([lo]), np.array([hi]), [], 0
+    while True:
+        mids = 0.5 * (los + his)
+        keep = (los < mids) & (mids < his)
+        if len(levels) >= _FULL_LEVELS:
+            keep &= (window[0] <= his) & (los <= window[1])
+        los, his, mids = los[keep], his[keep], mids[keep]
+        if not mids.size or total + mids.size > _CANDIDATES:
+            return np.sort(np.concatenate(levels)) if levels else mids
+        levels.append(mids)
+        total += mids.size
+        los = np.stack([los, mids], axis=1).ravel()
+        his = np.stack([mids, his], axis=1).ravel()
+
+
+def _root_window(xs: np.ndarray, gs: np.ndarray, i: int) -> tuple[float, float]:
+    """Where the mismatch's sign change below the bracket [xs[i], xs[i + 1]]
+    is expected: around the inverse interpolation x(g = 0) through the
+    bracket and its nearest evaluated neighbours.
+
+    The half-width is twice the change from the 3-point to the 4-point
+    estimate, but at least eight rounding units of g over the slope, since
+    the sign is only resolved to that.  An estimate that fails gives the
+    whole bracket.
+    """
+    near = [j for j in (i, i + 1, i - 1, i + 2) if 0 <= j < xs.size]
+    x, g = [float(xs[j]) for j in near], [float(gs[j]) for j in near]
+    lo, hi, slope = x[0], x[1], (g[1] - g[0]) / (x[1] - x[0])
+    estimates = []
+    try:  # Neville's scheme: x[j] becomes the estimate through points j..j+k
+        for k in range(1, len(x)):
+            for j in range(len(x) - k):
+                x[j] = (g[j + k] * x[j] - g[j] * x[j + 1]) / (g[j + k] - g[j])
+            estimates.append(x[0])
+    except ZeroDivisionError:
+        return lo, hi
+    root = min(max(estimates[-1], lo), hi)
+    width = max(2.0 * abs(estimates[-1] - estimates[-2]), 8.0 * np.spacing(1.0) / slope)
+    return (root - width, root + width) if math.isfinite(width) else (lo, hi)
+
+
+def _find_anchor(n_levels: int, pulse: PulseSpec, params: DeviceParams) -> np.ndarray:
+    """The noise-free pulse train from the bottom-of-chain state whose 2n-1
+    pulses end at its mirror image: row 0 is that anchor, row i the state
+    after i pulses.
 
     The window is symmetric about x = 0.5, so anchoring the train this way
     yields a chain symmetric about 0.5 and a depressing pulse of equal
     magnitude retraces one potentiating step.  Solved by bisection; the
     mismatch g(x0) = train(x0) - (1 - x0) is increasing in x0.
 
-    Each round evaluates the whole tree of midpoints the next _TREE_DEPTH
-    bisection steps could visit in one vector pulse train, then walks it by
-    the signs.  Every midpoint is the same 0.5 * (lo + hi) of the same
-    bounds, and the pulse kernel is elementwise, so the walk takes the
-    scalar bisection's path and returns its anchor bit for bit.
+    The search runs in speculative rounds.  Each round evaluates, in one
+    vector pulse train, the bisection midpoints the walk may visit next: the
+    first levels of the tree below the current bracket, and deeper nodes
+    whose intervals meet a window around a root estimate interpolated from
+    the mismatches evaluated so far (:func:`_root_window`).  Round 1 has no
+    estimate: it holds both bracket ends and the whole tree to the budget.  The scalar
+    bisection then walks on, committing a step only at an evaluated
+    midpoint, and the round ends at the first one not evaluated.  Every
+    midpoint is the same 0.5 * (lo + hi) of the same bounds, and the pulse
+    kernel is elementwise, so the walk takes the scalar bisection's path,
+    returns its anchor bit for bit, and the anchor's train is a column of
+    the round that evaluated it.
     """
     span = 2 * n_levels - 1
-
-    def mismatch(x0: np.ndarray) -> np.ndarray:
-        return _pulse_train(x0, span, pulse, params)[-1] - (1.0 - x0)
-
     lo, hi = 1.0e-30, 0.5
-    g_hi, g_lo = mismatch(np.array([hi, lo]))
-    if g_hi < 0.0:
-        raise CalibrationError("pulse too weak: chain does not span the midpoint")
-    if g_lo > 0.0:
-        raise CalibrationError("pulse too strong: chain collapses to the ends")
-    steps = 0
-    while steps < 200:
-        # the tree in heap order: node i's lower half is node 2i + 1 and its
-        # upper half node 2i + 2, so level l starts at node 2**l - 1
-        levels, los, his = [], np.array([lo]), np.array([hi])
-        for _ in range(_TREE_DEPTH):
-            mids = 0.5 * (los + his)
-            levels.append(mids)
-            los = np.stack([los, mids], axis=1).ravel()
-            his = np.stack([mids, his], axis=1).ravel()
-        below = mismatch(np.concatenate(levels)) < 0.0
-        node = 0
-        for _ in range(min(_TREE_DEPTH, 200 - steps)):
+    xs, gs = np.empty(0), np.empty(0)  # every evaluated start, ascending, and its mismatch
+    window, steps = (lo, hi), 0
+    while True:
+        starts = _tree_nodes(lo, hi, window)
+        if not xs.size:
+            starts = np.concatenate([[lo], starts, [hi]])
+        train = _pulse_train(starts, span, pulse, params)
+        mismatch = train[-1] - (1.0 - starts)
+        if not xs.size:
+            if mismatch[-1] < 0.0:
+                raise CalibrationError("pulse too weak: chain does not span the midpoint")
+            if mismatch[0] > 0.0:
+                raise CalibrationError("pulse too strong: chain collapses to the ends")
+            anchor = train[:, -1]
+        xs, gs = np.concatenate([xs, starts]), np.concatenate([gs, mismatch])
+        order = np.argsort(xs, kind="stable")
+        xs, gs = xs[order], gs[order]
+        while steps < 200 and (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            i = int(np.searchsorted(xs, mid))
+            if i == xs.size or xs[i] != mid:
+                break
             steps += 1
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                return hi
-            if below[node]:
-                lo, node = mid, 2 * node + 2
+            if gs[i] < 0.0:
+                lo = mid
             else:
-                hi, node = mid, 2 * node + 1
-    return hi
+                hi, anchor = mid, train[:, np.searchsorted(starts, mid)]
+        else:
+            return anchor.copy()
+        window = _root_window(xs, gs, int(np.searchsorted(xs, lo)))
 
 
 @functools.lru_cache(maxsize=128)
@@ -503,8 +576,7 @@ def _calibrated_table(params: DeviceParams, n_levels: int, pulse: PulseSpec) -> 
     """The plateau table of one device, chain length and pulse, computed
     once per process.  Its plateaus are read-only because every caller
     shares them; a failed calibration raises and is not cached."""
-    anchor = _find_anchor(n_levels, pulse, params)
-    plateaus = _pulse_train(np.array(anchor), 2 * n_levels - 1, pulse, params)
+    plateaus = _find_anchor(n_levels, pulse, params)
     rising = np.diff(plateaus) > 0.0
     if not np.all(rising):
         i, x = int(np.argmin(rising)), plateaus.tolist()

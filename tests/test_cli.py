@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from metasyn import cli, experiments
+from metasyn.crossbar import EventLog
 from metasyn.device import DeviceParams, NoiseModel
 from metasyn.experiments import ExperimentSpec
 from metasyn.network import AccuracyTrace, Model, NetworkConfig
@@ -418,6 +419,31 @@ def test_dump_trace_events(tmp_path, monkeypatch):
     for r in rows[1:]:
         assert r[1] in ("potentiate", "depress")
         assert r[6][0] in "LH" and r[7][0] in "LH"
+
+
+def test_events_csv_equals_a_csv_writer_reference(tmp_path):
+    """The one-pass writer gives the bytes csv.writer gave: every label of a
+    3-level chain, both phases, and floats that need 17 digits."""
+    x0 = np.array([0.1 + 0.2, 1 / 3, 2.0**-60, 0.0, 1.0, 0.9796196140021615])
+    x1 = np.array([0.0026056418574144646, 1e-300, 0.5, 2 / 3, 0.3, 1.0 - 2.0**-53])
+    log = EventLog()
+    log.blocks.append(
+        (0, "potentiate", np.arange(6), np.arange(6)[::-1], x0, x1, np.arange(6), np.arange(6)[::-1])
+    )
+    log.blocks.append(
+        (7, "depress", np.array([4]), np.array([2]), x1[:1], x0[:1], np.array([5]), np.array([0]))
+    )
+    cli.write_events_csv(tmp_path / "events.csv", log, n_levels=3)
+
+    labels = ["L2", "L1", "L0", "H0", "H1", "H2"]
+    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["step", "phase", "row", "col", "x_before", "x_after", "meta_before", "meta_after"])
+        for step, phase, row, col, a, b, i, j in log.rows():
+            w.writerow([step, phase, row, col, repr(float(a)), repr(float(b)), labels[i], labels[j]])
+    written = (tmp_path / "events.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert b"0.30000000000000004" in written and written.count(b"\n") == 8
 
 
 def test_sweep_cf_bytes_with_target_only_invalid_cells(tmp_path, monkeypatch):

@@ -227,20 +227,24 @@ def test_lockstep_rejects_what_it_cannot_share():
 
 
 def test_lockstep_rejects_a_shared_noise_model():
-    """A bound noise model feeding two runs would make each trace depend on
-    the group's order; None for both, and distinct models with equal seeds
-    next to models of other kinds, are fine."""
+    """A bound noise model given for several configs would make every run
+    draw the same noise, so run_lifetime_hw rejects it; None for both is
+    fine.  Each crossbar binds its own fresh copy, so crossbars built one
+    at a time from one bound model each start that seed's stream from its
+    beginning, in lockstep as alone; distinct models with equal seeds next
+    to models of other kinds are fine too."""
     shared = NoiseModel(sigma=0.1, rng_seed=7)
     with pytest.raises(ValueError, match="rng_seed"):
         run_lifetime_hw([SMALL, SMALL], n_patterns=2, noise=shared)
-    a, b = init_crossbar(SMALL, noise=shared), init_crossbar(SMALL, noise=shared)
-    pat = make_pattern_set(SMALL, 1)[0]
-    with pytest.raises(ValueError, match="rng_seed"):
-        train_lockstep([a, b], [pat, pat])
     run_lifetime_hw([SMALL, SMALL], n_patterns=2, noise=None)
 
     cfg = NetworkConfig(n_in=16, n_out=16, connectivity=0.5, activity=0.5, seed=1)
     pats = make_pattern_set(cfg, 6)
+    a, b = init_crossbar(cfg, noise=shared), init_crossbar(cfg, noise=shared)
+    for pat in pats:
+        train_lockstep([a, b], [pat, pat])
+    assert a.x.tobytes() == b.x.tobytes()
+    assert shared._rng is None  # the caller's model never draws
 
     def models():
         equal_seeds = [NoiseModel(sigma=0.1, rng_seed=7), NoiseModel(sigma=0.1, rng_seed=7)]
@@ -254,7 +258,22 @@ def test_lockstep_rejects_a_shared_noise_model():
         for pat in pats:
             alone.train_two_phase(pat)
         assert xb.x.tobytes() == alone.x.tobytes()
+    assert together[0].x.tobytes() == a.x.tobytes()
     assert together[0].x.tobytes() != together[-1].x.tobytes()
+
+
+def test_a_bound_noise_model_restarts_in_every_run():
+    """Two identical calls with one bound model give identical traces: each
+    crossbar draws from a fresh copy, so the model's generator never carries
+    over from one run to the next."""
+    cfg = NetworkConfig(n_in=16, n_out=16, connectivity=0.5, activity=0.5, seed=4)
+    m = NoiseModel(sigma=0.25, rng_seed=7)
+    first, second = (run_lifetime_hw(cfg, 8, noise=m) for _ in range(2))
+    assert first.learning.tobytes() == second.learning.tobytes()
+    assert first.mean.tobytes() == second.mean.tobytes()
+    assert m._rng is None
+    quiet = run_lifetime_hw(cfg, 8, noise=None)
+    assert first.mean.tobytes() != quiet.mean.tobytes()
 
 
 def test_one_pulse_call_per_round_equals_one_per_phase(monkeypatch):

@@ -276,6 +276,53 @@ def test_integrate_pulse_matches_reference_kernel(params, n, amplitude, sigma):
     assert ours.rng().standard_normal() == ref.rng().standard_normal()
 
 
+def _integrate_pulse_generic(x, pulse, params, noise=None):
+    """The Heun kernel with every stage in the generic operation order:
+    (1 - (4 s) s) exp(-tau power(s, p)), times the drive, divided by the
+    thickness; noise drawn step by step."""
+    xa = np.array(x, dtype=float).reshape(-1)
+    n_full, remainder = divmod(pulse.duration, pulse.dt)
+    steps = [pulse.dt] * int(round(n_full))
+    if remainder > 1e-12 * pulse.dt:
+        steps.append(remainder)
+    drive = device._drive(pulse.amplitude, params)
+
+    def rate(xs):
+        s = xs - 0.5
+        w = (1.0 - (4.0 * s) * s) * np.exp(-params.tau * np.power(s, params.p_exp))
+        return (drive * w) / params.d_thickness
+
+    def clamp(v):
+        return np.minimum(np.maximum(0.0, v), 1.0)
+
+    for dt in steps:
+        k1 = rate(xa)
+        k2 = rate(clamp(xa + k1 * dt))
+        dx = (0.5 * (k1 + k2)) * dt
+        if noise is not None:
+            dx = dx * (noise.rng().standard_normal(xa.size) * noise.sigma + 1.0)
+        xa = clamp(xa + dx)
+    return xa
+
+
+@pytest.mark.parametrize(
+    "p_exp, thickness", [(2.0, 1.0), (4.0, 1.5)], ids=["p2-D1", "p4-D1.5"]
+)
+@pytest.mark.parametrize("amplitude", [1.2, -1.2])
+@pytest.mark.parametrize("sigma", [0.0, 0.25], ids=["quiet", "noisy"])
+def test_lean_heun_stage_equals_the_generic_order(p_exp, thickness, amplitude, sigma):
+    """p = 2 squares x - 0.5 once for both window terms and D = 1 skips the
+    divide; other values take the generic stage.  Both give its bits."""
+    params = DeviceParams(p_exp=p_exp, d_thickness=thickness)
+    x = np.concatenate([EDGE_STATES, np.random.default_rng(5).random(2000)])
+    x[-3:] = [0.5 - 2.0**-54, 0.5 + 2.0**-53, 0.25]
+    pulse = PulseSpec(amplitude=amplitude)
+    ours = NoiseModel(sigma=sigma, rng_seed=3) if sigma else None
+    ref = NoiseModel(sigma=sigma, rng_seed=3) if sigma else None
+    out = integrate_pulse(x, pulse, params, ours)
+    assert out.tobytes() == _integrate_pulse_generic(x, pulse, params, ref).tobytes()
+
+
 @pytest.mark.parametrize(
     "counts, phases",
     [
@@ -471,13 +518,70 @@ def test_calls_below_the_draw_ahead_gate_start_no_thread(params, monkeypatch):
         integrate_pulse(np.full(gate, 0.5), PulseSpec(1.2), params, NoiseModel(0.25, rng_seed=1))
 
 
-@pytest.mark.parametrize("n_levels", [1, 3, 5])
+def _scaled_k(scale):
+    k = DeviceParams().k_off * scale
+    return DeviceParams(k_off=k, k_on=-k)
+
+
 @pytest.mark.parametrize(
-    "profile", [DeviceParams.default, DeviceParams.idealized], ids=["default", "ideal"]
+    "params, n_levels, amplitude",
+    [
+        *(pytest.param(DeviceParams(), n, 1.2, id=f"default-{n}") for n in (1, 3, 5)),
+        *(pytest.param(DeviceParams.idealized(), n, 1.2, id=f"ideal-{n}") for n in (1, 3, 5)),
+        pytest.param(_scaled_k(0.5), 3, 1.2, id="k_off_x0.5-3"),
+        pytest.param(_scaled_k(3.0), 3, 1.2, id="k_off_x3-3"),
+        pytest.param(DeviceParams(), 3, 1.1, id="1.1V-3"),
+        pytest.param(DeviceParams(), 3, 1.5, id="1.5V-3"),
+    ],
 )
-def test_tree_anchor_equals_scalar_bisection(profile, n_levels):
-    params, pulse = profile(), PulseSpec(amplitude=1.2)
-    assert _find_anchor(n_levels, pulse, params) == _reference_anchor(n_levels, pulse, params)
+def test_tree_anchor_equals_scalar_bisection(params, n_levels, amplitude):
+    """The speculative rounds return the scalar bisection's anchor, and its
+    train is the one-device train from that anchor, bit for bit."""
+    pulse = PulseSpec(amplitude=amplitude)
+    train = _find_anchor(n_levels, pulse, params)
+    assert train[0] == _reference_anchor(n_levels, pulse, params)
+    alone = device._pulse_train(np.array(train[0]), 2 * n_levels - 1, pulse, params)
+    assert train.tobytes() == alone.tobytes()
+
+
+def _counting_trains(monkeypatch, make=None):
+    """Count _pulse_train calls; make(x0, count) replaces the train if given."""
+    calls = []
+    real = device._pulse_train
+
+    def train(x0, count, pulse, params):
+        calls.append(x0.size)
+        return real(x0, count, pulse, params) if make is None else make(x0, count)
+
+    monkeypatch.setattr(device, "_pulse_train", train)
+    return calls
+
+
+@pytest.mark.parametrize("n_levels", [1, 3])
+def test_default_table_takes_at_most_four_trains(params, monkeypatch, n_levels):
+    calls = _counting_trains(monkeypatch)
+    table = device._calibrated_table.__wrapped__(params, n_levels, PulseSpec(amplitude=1.2))
+    assert 1 <= len(calls) <= 4
+    assert max(calls) <= device._CANDIDATES + 2  # round 1 adds both bracket ends
+    if n_levels == 3:
+        assert table.plateaus.tobytes() == DEFAULT_PLATEAUS.tobytes()
+
+
+@pytest.mark.parametrize(
+    "final, message",
+    [(0.0, "pulse too weak: chain does not span the midpoint"),
+     (2.0, "pulse too strong: chain collapses to the ends")],
+    ids=["weak", "strong"],
+)
+def test_bracket_errors_are_raised_before_any_step(params, monkeypatch, final, message):
+    """No real device misses the bracket, so a stand-in train does: every
+    state ends at 0, so train(0.5) < 0.5, or at 2, so train(1e-30) > 1 -
+    1e-30.  The check reads round 1, which holds both ends, and raises
+    before the walk takes a step or a second train is run."""
+    calls = _counting_trains(monkeypatch, lambda x0, count: np.full((count + 1,) + x0.shape, final))
+    with pytest.raises(CalibrationError, match=f"^{message}$"):
+        _find_anchor(3, PulseSpec(amplitude=1.2), params)
+    assert len(calls) == 1
 
 
 # ---- calibration memo -----------------------------------------------------------
