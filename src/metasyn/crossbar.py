@@ -174,10 +174,10 @@ def train_lockstep(
     so both guards are read first.  Past :func:`holds_within_budget` for the
     held potentiation noise draw, each phase gets its own call instead.
 
-    The crossbars must share device params and programming pulse, and each
-    needs its own noise model (or None); a crossbar binds a model given
-    without rng_seed to its own copy.  The event log records one
-    crossbar's events, one block per phase, so it needs a single crossbar.
+    The crossbars must share device params and programming pulse; each
+    crossbar draws from its own copy of the noise model it was built with.
+    The event log records one crossbar's events, one block per phase, so
+    it needs a single crossbar.
     """
     if log is not None and len(crossbars) != 1:
         raise ValueError("an event log records the events of one crossbar")

@@ -490,7 +490,7 @@ def _tree_nodes(lo: float, hi: float, window: tuple[float, float]) -> np.ndarray
 
 
 def _root_window(xs: np.ndarray, gs: np.ndarray, i: int) -> tuple[float, float]:
-    """Where the mismatch's sign change below the bracket [xs[i], xs[i + 1]]
+    """Where the mismatch's sign change inside the bracket [xs[i], xs[i + 1]]
     is expected: around the inverse interpolation x(g = 0) through the
     bracket and its nearest evaluated neighbours.
 
@@ -530,13 +530,13 @@ def _find_anchor(n_levels: int, pulse: PulseSpec, params: DeviceParams) -> np.nd
     first levels of the tree below the current bracket, and deeper nodes
     whose intervals meet a window around a root estimate interpolated from
     the mismatches evaluated so far (:func:`_root_window`).  Round 1 has no
-    estimate: it holds both bracket ends and the whole tree to the budget.  The scalar
-    bisection then walks on, committing a step only at an evaluated
-    midpoint, and the round ends at the first one not evaluated.  Every
-    midpoint is the same 0.5 * (lo + hi) of the same bounds, and the pulse
-    kernel is elementwise, so the walk takes the scalar bisection's path,
-    returns its anchor bit for bit, and the anchor's train is a column of
-    the round that evaluated it.
+    estimate: it holds both bracket ends and the whole tree to the budget.
+    The scalar bisection then walks on, committing a step only at an
+    evaluated midpoint, and the round ends at the first one not evaluated.
+    Every midpoint is the same 0.5 * (lo + hi) of the same bounds, and the
+    pulse kernel is elementwise, so the walk takes the scalar bisection's
+    path, returns its anchor bit for bit, and the anchor's train is a
+    column of the round that evaluated it.
     """
     span = 2 * n_levels - 1
     lo, hi = 1.0e-30, 0.5
