@@ -216,91 +216,58 @@ def _fnum(v: float) -> str:
     return repr(float(v))
 
 
-def _open_csv(path: Path):
-    return open(path, "w", newline="", encoding="utf-8")
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_traces_csv(path: Path, result: SweepResult, seeds: tuple[int, ...]) -> None:
-    with _open_csv(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["model", "seed", "pattern_index", "learning_acc", "mean_acc"])
-        for label in result.grid[0]:
-            for seed, trace in zip(seeds, result.traces[label]):
-                for t in range(trace.learning.size):
-                    w.writerow(
-                        [
-                            label,
-                            seed,
-                            t + 1,
-                            _fnum(trace.learning[t]),
-                            _fnum(trace.mean[t]),
-                        ]
-                    )
+    rows = (
+        [label, seed, t + 1, _fnum(learning), _fnum(mean)]
+        for label in result.grid[0]
+        for seed, trace in zip(seeds, result.traces[label])
+        for t, (learning, mean) in enumerate(zip(trace.learning, trace.mean))
+    )
+    _write_csv(path, ["model", "seed", "pattern_index", "learning_acc", "mean_acc"], rows)
 
 
 def write_summary_csv(path: Path, result: SweepResult) -> None:
     ratio = "" if result.ratio_vs_binary is None else _fnum(result.ratio_vs_binary)
-    with _open_csv(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["model", "crossing_mean", "crossing_std", "ratio_vs_binary"])
-        for label in result.grid[0]:
-            mean, std = result.crossing_stats(label)
-            w.writerow([label, _fnum(mean), _fnum(std), ratio])
+    rows = (
+        [label, *map(_fnum, result.crossing_stats(label)), ratio] for label in result.grid[0]
+    )
+    _write_csv(path, ["model", "crossing_mean", "crossing_std", "ratio_vs_binary"], rows)
 
 
 def write_cf_grid_csv(path: Path, result: SweepResult) -> None:
     c_vals, f_vals = result.grid
-    with _open_csv(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["connectivity", "activity", "mean_acc_at_100", "valid_flag"])
-        for i, c in enumerate(c_vals):
-            for j, f in enumerate(f_vals):
-                valid = bool(result.valid[i, j])
-                mean = _fnum(result.mean_at_end[i, j]) if valid else ""
-                w.writerow([_fnum(c), _fnum(f), mean, int(valid)])
+    points = ((c, f) for c in c_vals for f in f_vals)  # row-major, as the arrays
+    cells = zip(points, result.mean_at_end.flat, result.valid.flat)
+    rows = ([_fnum(c), _fnum(f), _fnum(m) if ok else "", int(ok)] for (c, f), m, ok in cells)
+    _write_csv(path, ["connectivity", "activity", "mean_acc_at_100", "valid_flag"], rows)
 
 
 def write_size_grid_csv(path: Path, result: SweepResult) -> None:
-    with _open_csv(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            [
-                "size",
-                "learning_acc_at_100",
-                "mean_acc_at_100",
-                "crossing_mean",
-                "crossing_std",
-            ]
-        )
-        for i, n in enumerate(result.grid[0]):
-            mean, std = result.crossing_stats(str(n))
-            w.writerow(
-                [
-                    n,
-                    _fnum(result.learning_at_end[i]),
-                    _fnum(result.mean_at_end[i]),
-                    _fnum(mean),
-                    _fnum(std),
-                ]
-            )
+    cells = zip(result.grid[0], result.learning_at_end, result.mean_at_end)
+    rows = (
+        [n, _fnum(learning), _fnum(mean), *map(_fnum, result.crossing_stats(str(n)))]
+        for n, learning, mean in cells
+    )
+    header = ["size", "learning_acc_at_100", "mean_acc_at_100", "crossing_mean", "crossing_std"]
+    _write_csv(path, header, rows)
 
 
 def write_metastate_table_csv(
     path: Path, table: MetastateTable, params: DeviceParams
 ) -> None:
-    with _open_csv(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["efficacy", "metalevel", "x_plateau", "conductance_S"])
-        for index, x in enumerate(table.plateaus):
-            state = chain_state(index, table.n_levels)
-            w.writerow(
-                [
-                    "high" if state.efficacy else "low",
-                    state.metalevel,
-                    _fnum(x),
-                    _fnum(conductance(x, params)),
-                ]
-            )
+    states = (chain_state(i, table.n_levels) for i in range(len(table.plateaus)))
+    rows = (
+        ["high" if s.efficacy else "low", s.metalevel, _fnum(x), _fnum(conductance(x, params))]
+        for s, x in zip(states, table.plateaus)
+    )
+    _write_csv(path, ["efficacy", "metalevel", "x_plateau", "conductance_S"], rows)
 
 
 def _meta_label(state) -> str:
@@ -311,7 +278,7 @@ def write_events_csv(path: Path, events: EventLog, n_levels: int) -> None:
     """One row per event, formatted directly: no field needs quoting (ints,
     the phase words, float reprs as _fnum writes them, and H/L labels)."""
     labels = [_meta_label(chain_state(i, n_levels)) for i in range(2 * n_levels)]
-    with _open_csv(path) as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("step,phase,row,col,x_before,x_after,meta_before,meta_after\n")
         fh.writelines(
             f"{step},{phase},{row},{col},{x0!r},{x1!r},{labels[i0]},{labels[i1]}\n"

@@ -128,16 +128,11 @@ class Crossbar:
 
     # ---- read path -----------------------------------------------------
 
-    def conductance_matrix(self) -> np.ndarray:
-        return conductance(self.x, self.params)
-
-    def column_currents(self, input_bits: np.ndarray) -> np.ndarray:
-        """I_j = v_read * sum of G over active rows; inactive rows are
-        blocked by their diode and contribute exactly zero."""
-        return self.column_currents_batch(input_bits[np.newaxis, :])[0]
-
     def column_currents_batch(self, inputs: np.ndarray) -> np.ndarray:
-        return self.v_read * (inputs.astype(np.float64) @ self.conductance_matrix())
+        """I_j = v_read * sum of G over active rows, one row of currents per
+        input row; inactive rows are blocked by their diode and contribute
+        exactly zero."""
+        return self.v_read * (inputs.astype(np.float64) @ conductance(self.x, self.params))
 
     def infer_batch(self, inputs: np.ndarray) -> np.ndarray:
         """Every column compared against the one reference current."""

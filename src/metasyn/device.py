@@ -139,6 +139,9 @@ class PulseSpec:
     dt: float = 0.1e-6
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.duration <= 0.0 or self.dt <= 0.0:
             raise ValueError("duration and dt must be positive")
         if self.dt > self.duration:
@@ -237,16 +240,6 @@ def _drive(v, params: DeviceParams):
     up = params.k_off * np.maximum(va / params.v_off - 1.0, 0.0) ** params.alpha_off
     down = params.k_on * np.maximum(va / params.v_on - 1.0, 0.0) ** params.alpha_on
     return up + down
-
-
-def state_derivative(x, v, params: DeviceParams):
-    """dx/dt under applied voltage v.
-
-    Zero between the thresholds; above v_off (below v_on) the rate scales
-    as k * (v/v_thresh - 1)^alpha times the boundary window.
-    """
-    value = _drive(v, params) * window(x, params) / params.d_thickness
-    return value if value.ndim else float(value)
 
 
 def _clamp_unit(v):

@@ -110,14 +110,11 @@ class SweepResult:
         Runs that never cross are censored at n_patterns + 1 so long-lived
         seeds raise the mean instead of silently dropping out.
         """
-        vals = _censor(self.crossings[label], self.n_patterns)
+        vals = np.array(
+            [self.n_patterns + 1 if c is None else c for c in self.crossings[label]],
+            dtype=np.float64,
+        )
         return float(vals.mean()), float(vals.std())
-
-
-def _censor(crossings: tuple[int | None, ...], n_patterns: int) -> np.ndarray:
-    return np.array(
-        [n_patterns + 1 if c is None else c for c in crossings], dtype=np.float64
-    )
 
 
 def threshold_crossing(trace: AccuracyTrace, threshold: float) -> int | None:
@@ -208,9 +205,12 @@ def run_cells(
 def run_comparison(spec: ExperimentSpec, models: tuple[Model, ...] = tuple(Model)) -> SweepResult:
     """Run every requested model (plus hardware variants when flagged)
     over all seeds and compute crossing statistics and the multistate
-    over binary crossing ratio."""
+    over binary crossing ratio.  Hardware needs at least one model with a
+    crossbar; the gradient model alone is rejected."""
     if len(models) < 1:
         raise ValueError("at least one model is required")
+    if spec.hardware and set(models) == {Model.GRADIENT}:
+        raise ValueError("the gradient model has no crossbar realization")
     cells = [(m.value, replace(spec.base, model=m), False) for m in models]
     if spec.hardware:
         cells += [
@@ -221,9 +221,9 @@ def run_comparison(spec: ExperimentSpec, models: tuple[Model, ...] = tuple(Model
     result = run_cells(spec, cells, ("model",), (tuple(c[0] for c in cells),))
     if Model.BINARY not in models or Model.MULTISTATE not in models:
         return result
-    multi = _censor(result.crossings["multistate"], spec.n_patterns).mean()
-    binary = _censor(result.crossings["binary"], spec.n_patterns).mean()
-    return replace(result, ratio_vs_binary=float(multi / binary))
+    multi, _ = result.crossing_stats("multistate")
+    binary, _ = result.crossing_stats("binary")
+    return replace(result, ratio_vs_binary=multi / binary)
 
 
 def sweep_size(spec: ExperimentSpec) -> SweepResult:

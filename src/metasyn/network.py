@@ -174,9 +174,6 @@ class BehavioralNetwork:
             high = self.state[rows] >= self.cfg.effective_levels
         return (self.mask[rows] & high).astype(np.float64)
 
-    def forward(self, input_bits: np.ndarray) -> np.ndarray:
-        return self.forward_batch(input_bits[np.newaxis, :])[0]
-
     def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
         """Threshold response for a batch of 0/1 input bit vectors, read on
         the rows with a set bit; a drive exactly at theta does not fire."""

@@ -47,33 +47,19 @@ class MetaState:
             )
 
 
-def efficacy_of(state: MetaState) -> int:
-    """Binary weight contributed by a metaplastic synapse state."""
-    return int(state.efficacy)
-
-
 def transition(state: MetaState, direction: UpdateDirection) -> MetaState:
-    """Advance one synapse state a single step along the chain.
+    """Advance one synapse state a single step along the chain: the saturating
+    +1 or -1 on the chain index that :func:`transition_arrays` applies to
+    arrays, taken in Python integers so the widest chain's top index cannot
+    wrap.
 
     Potentiation walks toward the high-efficacy end: a low synapse first
     climbs out of its metalevels, flips to high at metalevel 0, then sinks
     into ever deeper high metalevels.  Depression is the exact mirror.  The
     deepest metalevel saturates instead of wrapping.
     """
-    n = state.n_levels
-    efficacy, level = state.efficacy, state.metalevel
-    if direction is UpdateDirection.POTENTIATE:
-        if efficacy is Efficacy.LOW:
-            if level > 0:
-                return MetaState(Efficacy.LOW, level - 1, n)
-            return MetaState(Efficacy.HIGH, 0, n)
-        return MetaState(Efficacy.HIGH, min(level + 1, n - 1), n)
-    else:
-        if efficacy is Efficacy.HIGH:
-            if level > 0:
-                return MetaState(Efficacy.HIGH, level - 1, n)
-            return MetaState(Efficacy.LOW, 0, n)
-        return MetaState(Efficacy.LOW, min(level + 1, n - 1), n)
+    top = 2 * state.n_levels - 1
+    return chain_state(min(max(chain_index(state) + direction.value, 0), top), state.n_levels)
 
 
 def stochastic_gate(
@@ -110,10 +96,11 @@ def transition_arrays(
     direction: UpdateDirection,
     select: np.ndarray,
 ) -> None:
-    """Vectorised twin of :func:`transition` acting in place on chain indices.
+    """One step along the chain for an array of synapses, in place on their
+    chain indices.
 
-    On the chain index every step of :func:`transition` is a saturating +1
-    (potentiate) or -1 (depress); only entries where ``select`` is True move.
+    On the chain index a step is a saturating +1 (potentiate) or -1
+    (depress); only entries where ``select`` is True move.
     """
     if direction is UpdateDirection.POTENTIATE:
         np.minimum(state + 1, 2 * n_levels - 1, out=state, where=select)

@@ -2,7 +2,9 @@
 deterministic reruns, and the seed-offset environment knob."""
 
 import csv
+import dataclasses
 import hashlib
+import importlib
 import os
 import re
 import subprocess
@@ -13,8 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import metasyn
 from metasyn import cli, experiments
-from metasyn.crossbar import EventLog
+from metasyn.crossbar import Crossbar, EventLog, init_crossbar
 from metasyn.device import DeviceParams, NoiseModel
 from metasyn.experiments import ExperimentSpec
 from metasyn.network import AccuracyTrace, Model, NetworkConfig
@@ -133,6 +136,32 @@ def test_readme_key_list_matches_the_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     paragraph = readme[readme.index("Keys cover"):].split("\n\n", 1)[0]
     assert set(re.findall(r"`(\w+)`", paragraph)) == set(cli._KEYS)
+
+
+def test_readme_removed_names_stay_removed():
+    """Every `module.name` or `Class.name` in the left column of the README's
+    "Removed APIs" table is absent from the package: not a module or class
+    attribute, not a dataclass field, and not set on a Crossbar instance."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("Removed APIs, with what replaces them:"):].split("\n\n")[1]
+    removed = [
+        token
+        for row in table.splitlines()[2:]
+        for token in re.findall(r"`(\w+)\.(\w+)[`(]", row.split("|")[1])
+    ]
+    assert len(removed) >= 35
+    crossbar = init_crossbar(NetworkConfig(n_in=5, n_out=3), noise=NoiseModel.off())
+    for owner, name in removed:
+        if owner[0].islower():
+            present = set(dir(importlib.import_module(f"metasyn.{owner}")))
+        else:
+            cls = getattr(metasyn, owner)
+            present = set(dir(cls))
+            if dataclasses.is_dataclass(cls):
+                present |= {f.name for f in dataclasses.fields(cls)}
+            if cls is Crossbar:
+                present |= set(vars(crossbar))
+        assert name not in present, f"{owner}.{name}"
 
 
 @pytest.mark.parametrize("key", KEYS)
@@ -460,6 +489,25 @@ def test_sweep_cf_bytes_with_target_only_invalid_cells(tmp_path, monkeypatch):
     assert digest == "59ee24d57460db2afe53a3000786b847650a12df8254d87e4d1e35b81b1a4c6f"
 
 
+def test_sweep_size_bytes(tmp_path, monkeypatch):
+    """Two sizes over two seeds, one of which never crosses at 16x16, so the
+    censored crossing reaches the file."""
+    monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
+    cfg = parse_config(
+        "seeds = 0, 1\nn_patterns = 12\nsize_grid = 8, 16\n" f"out_dir = {tmp_path}\n"
+    )
+    assert execute("sweep-size", cfg) == 0
+    digest = hashlib.sha256((tmp_path / "size_grid.csv").read_bytes()).hexdigest()
+    assert digest == "99dfdf31c1e85de910797e7131abe84c59767acdda6b85c86c96579608265ca2"
+
+
+def test_metastate_table_bytes(tmp_path, monkeypatch):
+    monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
+    assert execute("calibrate-device", parse_config(f"out_dir = {tmp_path}\n")) == 0
+    digest = hashlib.sha256((tmp_path / "metastate_table.csv").read_bytes()).hexdigest()
+    assert digest == "e9e18dfbc96037dec85c6b73954109b2425c0852c0f97c9f830c0a1af7f480e7"
+
+
 def test_run_with_chain_past_int8(tmp_path, capsys, monkeypatch):
     # n_levels >= 129 used to end in an uncaught OverflowError traceback
     monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
@@ -513,6 +561,17 @@ def test_main_errors_on_bad_config(tmp_path, capsys):
     assert main(["run", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "connectivity" in err
+
+
+def test_main_rejects_gradient_hardware_run(tmp_path, capsys):
+    cfgfile = tmp_path / "gd.cfg"
+    cfgfile.write_text(
+        TINY + f"model = gradient\nhardware = true\nout_dir = {tmp_path / 'out'}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(cfgfile)]) == 1
+    assert "error: the gradient model has no crossbar realization" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "traces.csv").exists()
 
 
 def test_main_runs_with_config(tmp_path, capsys, monkeypatch):

@@ -49,7 +49,7 @@ def test_column_currents_match_brute_force(xb_small):
             xb.v_read * sum(float(g[i, j]) for i in range(5) if inp[i])
             for j in range(3)
         ]
-        np.testing.assert_allclose(xb.column_currents(inp), expected, rtol=1e-12)
+        np.testing.assert_allclose(xb.column_currents_batch(inp[None])[0], expected, rtol=1e-12)
 
 
 def test_pruned_crosspoint_leaks_off_conductance(xb_small):
@@ -62,22 +62,22 @@ def test_pruned_crosspoint_leaks_off_conductance(xb_small):
     inp[i] = 1
     expected = xb.v_read * xb.params.g_off
     assert expected == pytest.approx(30e-9)
-    assert float(xb.column_currents(inp)[j]) == pytest.approx(expected, rel=1e-12)
+    assert float(xb.column_currents_batch(inp[None])[0, j]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_inactive_rows_contribute_exactly_zero(xb_small):
     xb = xb_small
-    base = xb.column_currents(np.zeros(5, dtype=np.uint8))
+    base = xb.column_currents_batch(np.zeros((1, 5), dtype=np.uint8))[0]
     assert np.all(base == 0.0)
 
 
 def test_adding_active_rows_never_decreases_current(xb_small):
     xb = xb_small
     inp = np.zeros(5, dtype=np.uint8)
-    prev = xb.column_currents(inp)
+    prev = xb.column_currents_batch(inp[None])[0]
     for i in range(5):
         inp[i] = 1
-        cur = xb.column_currents(inp)
+        cur = xb.column_currents_batch(inp[None])[0]
         assert np.all(cur >= prev)
         prev = cur
 
@@ -423,5 +423,5 @@ def test_leakage_grows_with_connectivity_at_fixed_states():
         xb.x[xb.mask] = low
         inp = np.zeros(40, dtype=np.uint8)
         inp[:32] = 1
-        leaks.append(float(xb.column_currents(inp).sum()))
+        leaks.append(float(xb.column_currents_batch(inp[None])[0].sum()))
     assert leaks[0] < leaks[1] < leaks[2]

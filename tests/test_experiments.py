@@ -89,6 +89,16 @@ def test_gradient_hardware_sweep_rejected(sweep):
         sweep(spec)
 
 
+def test_gradient_hardware_comparison_rejected():
+    """Hardware with the gradient model alone would run no crossbar at all;
+    beside a model that has one, the gradient row stays behavioral."""
+    spec = ExperimentSpec(
+        base=NetworkConfig(n_in=16, n_out=16), seeds=(0,), n_patterns=5, hardware=True
+    )
+    with pytest.raises(ValueError, match="no crossbar realization"):
+        run_comparison(spec, models=(Model.GRADIENT,))
+
+
 # ---- comparison ------------------------------------------------------------------
 
 

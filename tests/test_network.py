@@ -138,7 +138,7 @@ def test_forward_threshold_strict():
     net.state[:5, 0] = high0
     net.mask[:4, 1] = True
     net.state[:4, 1] = high0
-    out = net.forward(x)
+    out = net.forward_batch(x[None])[0]
     assert out[0] == 1  # 5 > theta = 4
     assert out[1] == 0  # 4 > 4 is false
     assert np.all(out[2:] == 0)
@@ -146,7 +146,7 @@ def test_forward_threshold_strict():
 
 def test_all_zero_input_gives_all_zero_output():
     net = BehavioralNetwork.initialize(NetworkConfig(seed=3))
-    out = net.forward(np.zeros(128, dtype=np.uint8))
+    out = net.forward_batch(np.zeros((1, 128), dtype=np.uint8))[0]
     assert np.all(out == 0)
 
 
@@ -163,7 +163,7 @@ def test_forward_matches_brute_force_small():
                 for i in range(5)
             )
             expected.append(1 if acc > cfg.theta else 0)
-        assert list(net.forward(x)) == expected
+        assert list(net.forward_batch(x[None])[0]) == expected
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -195,7 +195,7 @@ def test_zero_error_leaves_network_unchanged():
     cfg, net = _tiny_net()
     x = np.zeros(8, dtype=np.uint8)
     x[:4] = 1
-    y = net.forward(x)
+    y = net.forward_batch(x[None])[0]
     state = net.state.copy()
     net.train_on_pattern(Pattern(input_bits=x, target_bits=y))
     assert np.array_equal(state, net.state)
@@ -211,7 +211,7 @@ def test_lockstep_run_stops_without_drawing_once_correct():
     done, busy = BehavioralNetwork.initialize(cfg), BehavioralNetwork.initialize(cfg)
     x = np.zeros(8, dtype=np.uint8)
     x[:4] = 1
-    y = done.forward(x)
+    y = done.forward_batch(x[None])[0]
     state = done.train_rng.bit_generator.state
     seen = []
     correct_pattern(

@@ -12,7 +12,6 @@ from metasyn.synapse import (
     UpdateDirection,
     chain_index,
     chain_state,
-    efficacy_of,
     gradient_step,
     stochastic_gate,
     transition,
@@ -25,6 +24,41 @@ DEP = UpdateDirection.DEPRESS
 
 def S(eff: Efficacy, lvl: int, n: int = 3) -> MetaState:
     return MetaState(eff, lvl, n)
+
+
+# The 2n-state chain written out by hand for n = 1, 2 and 3: one event moves
+# (efficacy, metalevel) to (efficacy, metalevel).  transition is an n = 1 view
+# of transition_arrays, so this table is the reference both are checked against.
+CHAIN_TABLE = {
+    1: {
+        POT: {("L", 0): ("H", 0), ("H", 0): ("H", 0)},
+        DEP: {("L", 0): ("L", 0), ("H", 0): ("L", 0)},
+    },
+    2: {
+        POT: {("L", 1): ("L", 0), ("L", 0): ("H", 0), ("H", 0): ("H", 1), ("H", 1): ("H", 1)},
+        DEP: {("L", 1): ("L", 1), ("L", 0): ("L", 1), ("H", 0): ("L", 0), ("H", 1): ("H", 0)},
+    },
+    3: {
+        POT: {
+            ("L", 2): ("L", 1), ("L", 1): ("L", 0), ("L", 0): ("H", 0),
+            ("H", 0): ("H", 1), ("H", 1): ("H", 2), ("H", 2): ("H", 2),
+        },
+        DEP: {
+            ("L", 2): ("L", 2), ("L", 1): ("L", 2), ("L", 0): ("L", 1),
+            ("H", 0): ("L", 0), ("H", 1): ("H", 0), ("H", 2): ("H", 1),
+        },
+    },
+}
+
+
+def from_table(entry: tuple[str, int], n: int) -> MetaState:
+    return MetaState(Efficacy.HIGH if entry[0] == "H" else Efficacy.LOW, entry[1], n)
+
+
+def table_step(state: MetaState, direction: UpdateDirection) -> MetaState:
+    """The reference step: one lookup in CHAIN_TABLE."""
+    key = ("H" if state.efficacy else "L", state.metalevel)
+    return from_table(CHAIN_TABLE[state.n_levels][direction][key], state.n_levels)
 
 
 # ---- worked single-step examples -------------------------------------------
@@ -47,10 +81,13 @@ def test_single_steps(state, direction, expected):
     assert transition(state, direction) == expected
 
 
-def test_efficacy_of_ignores_metalevel():
-    assert efficacy_of(S(Efficacy.HIGH, 2)) == 1
-    assert efficacy_of(S(Efficacy.LOW, 0)) == 0
-    assert efficacy_of(S(Efficacy.LOW, 1)) == 0
+@pytest.mark.parametrize("n", sorted(CHAIN_TABLE))
+@pytest.mark.parametrize("direction", [POT, DEP])
+def test_transition_matches_the_chain_table(n, direction):
+    table = CHAIN_TABLE[n][direction]
+    assert len(table) == 2 * n
+    for before, after in table.items():
+        assert transition(from_table(before, n), direction) == from_table(after, n)
 
 
 def test_metalevel_bounds_enforced():
@@ -154,23 +191,25 @@ def test_policy_rejects_bad_q():
 
 @settings(max_examples=50)
 @given(
-    st.integers(min_value=1, max_value=4),
+    st.sampled_from(sorted(CHAIN_TABLE)),
     st.integers(min_value=1, max_value=30),
     st.sampled_from([POT, DEP]),
     st.randoms(use_true_random=False),
 )
 def test_transition_arrays_matches_scalar(n, count, d, rnd):
+    """The vector rule against the hand-written chain table, of which the
+    scalar transition is the n = 1 view."""
     states = [
         MetaState(Efficacy(rnd.randint(0, 1)), rnd.randint(0, n - 1), n) for _ in range(count)
     ]
     sel = np.array([rnd.random() < 0.7 for _ in range(count)])
-    expected = [transition(s, d) if m else s for s, m in zip(states, sel)]
+    expected = [table_step(s, d) if m else s for s, m in zip(states, sel)]
     state = np.array([chain_index(s) for s in states], dtype=np.int64)
     transition_arrays(state, n, d, sel)
     assert [chain_state(int(i), n) for i in state] == expected
 
 
-@pytest.mark.parametrize("n", [1, 3, 129, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3, 129, 1000])
 def test_chain_index_round_trip(n):
     """chain_index orders the chain from the deepest low state (0) to the
     deepest high state (2n - 1); high efficacy is exactly index >= n."""
@@ -180,9 +219,22 @@ def test_chain_index_round_trip(n):
     for i, s in enumerate(states):
         assert chain_index(s) == i
         assert s.efficacy is (Efficacy.HIGH if i >= n else Efficacy.LOW)
-    # neighbours on the chain are one scalar transition apart
+    # neighbours on the chain are one event apart: by the hand-written table
+    # where there is one, and by transition on the long chains
+    step = table_step if n in CHAIN_TABLE else transition
     for lo, hi in zip(states, states[1:]):
-        assert transition(lo, POT) == hi and transition(hi, DEP) == lo
+        assert step(lo, POT) == hi and step(hi, DEP) == lo
+
+
+def test_transition_at_the_widest_chain():
+    """n_levels = 2**62, the widest NetworkConfig accepts: both chain ends
+    saturate and the middle crosses, with no integer wrap-around."""
+    n = 2**62
+    deep_high, deep_low = S(Efficacy.HIGH, n - 1, n), S(Efficacy.LOW, n - 1, n)
+    assert transition(deep_high, POT) == deep_high
+    assert transition(deep_low, DEP) == deep_low
+    assert transition(deep_high, DEP) == S(Efficacy.HIGH, n - 2, n)
+    assert transition(S(Efficacy.LOW, 0, n), POT) == S(Efficacy.HIGH, 0, n)
 
 
 # ---- gradient-descent baseline ------------------------------------------------
