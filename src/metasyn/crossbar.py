@@ -26,7 +26,6 @@ from .device import (
     calibrate_metastate_table,
     conductance,
     flip_conductances,
-    holds_within_budget,
     integrate_pulse,
 )
 from .network import (
@@ -121,6 +120,8 @@ class Crossbar:
             raise ValueError("v_read would disturb the devices")
         if not self.v_half < params.v_off:
             raise ValueError("half-select voltage must stay below v_off")
+        if not -self.v_half > params.v_on:
+            raise ValueError("negative half-select voltage must stay above v_on")
         # The reference operating point is resolved once, at the initial
         # state; at extreme connectivity/activity corners it may lie beyond
         # any current a column can reach.
@@ -166,8 +167,8 @@ def train_lockstep(
     crossbar with one :func:`integrate_pulse` call, whose segments carry
     their phase's polarity and their crossbar's own noise stream, so every
     crossbar ends where it would alone.  The phases select disjoint columns,
-    so both guards are read first.  Past :func:`holds_within_budget` for the
-    held potentiation noise draw, each phase gets its own call instead.
+    so both guards are read first.  A round that programs no device makes
+    no call.
 
     The crossbars must share device params and programming pulse; each
     crossbar draws from its own copy of the noise model it was built with.
@@ -189,21 +190,17 @@ def train_lockstep(
                 if sel is not None:
                     guard[sel] = xb.table.verify(xb.x[sel], direction)
                 segments.append((direction, xb, guard, xb.x[guard]))
-        n = len(crossbars)  # the potentiate segments, whose noise draw a merged call holds
-        held = sum(b.size for _, xb, _, b in segments[:n] if xb.noise and xb.noise.active)
-        merged = holds_within_budget(table.pulse, held)
-        for call in [segments] if merged else [segments[:n], segments[n:]]:
-            befores = [before for *_, before in call]
-            if not any(before.size for before in befores):
-                continue
-            noise = [(xb.noise, b.size, table.pulse_for(d).amplitude) for d, xb, _, b in call]
-            after = integrate_pulse(np.concatenate(befores), table.pulse, params, noise)
-            afters = np.split(after, np.cumsum([before.size for before in befores])[:-1])
-            for (direction, xb, guard, before), xs in zip(call, afters):
-                xb.x[guard] = xs
-                if log is not None and before.size:
-                    block = (*np.nonzero(guard), before, xs, decode(before), decode(xs))
-                    log.blocks.append((step, direction.name.lower(), *block))
+        befores = [before for *_, before in segments]
+        if not any(before.size for before in befores):
+            return
+        noise = [(xb.noise, b.size, table.pulse_for(d).amplitude) for d, xb, _, b in segments]
+        after = integrate_pulse(np.concatenate(befores), table.pulse, params, noise)
+        afters = np.split(after, np.cumsum([before.size for before in befores])[:-1])
+        for (direction, xb, guard, before), xs in zip(segments, afters):
+            xb.x[guard] = xs
+            if log is not None and before.size:
+                block = (*np.nonzero(guard), before, xs, decode(before), decode(xs))
+                log.blocks.append((step, direction.name.lower(), *block))
 
     correct_pattern(crossbars, lambda k, rows: crossbars[k].infer_batch(rows), pulse, pats)
 

@@ -57,7 +57,7 @@ _DRAW_AHEAD_DEVICES = 4096
 _DRAW_AHEAD_BLOCKS = 2
 
 # A pulse call in which one noise model feeds two segments holds the earlier
-# segment's whole draw; callers merge two pulses only within this budget.
+# segment's whole draw; past this budget the call programs in two passes.
 _HELD_NOISE_BYTES = 1 << 21
 
 
@@ -71,8 +71,8 @@ class DeviceParams:
 
     Conductance limits correspond to 100 kOhm (on) and 10 MOhm (off).
     k_off > 0 drives x up for v > v_off; k_on < 0 drives x down for
-    v < v_on.  Thickness D only rescales the k constants, so it defaults
-    to 1 and x coincides with w.
+    v < v_on.  The state x is w/D, and the thickness D only rescales the
+    k constants, so it is folded into them.
     """
 
     g_on: float = 1.0e-5
@@ -83,7 +83,6 @@ class DeviceParams:
     k_on: float = -_DEFAULT_K_OFF
     alpha_off: float = 3.0
     alpha_on: float = 3.0
-    d_thickness: float = 1.0
     tau: float = 2.0
     p_exp: float = 2.0
 
@@ -97,8 +96,6 @@ class DeviceParams:
             raise ValueError("need v_on < 0 < v_off")
         if not (self.k_off > 0.0 > self.k_on):
             raise ValueError("need k_off > 0 > k_on")
-        if not self.d_thickness > 0.0:
-            raise ValueError("need d_thickness > 0")
         if not (self.alpha_off >= 0.0 and self.alpha_on >= 0.0 and self.tau >= 0.0):
             raise ValueError("need alpha_off, alpha_on and tau >= 0")
         # an odd or fractional power breaks the window's symmetry about the
@@ -248,11 +245,6 @@ def _clamp_unit(v):
     return np.minimum(np.maximum(_ZERO, v, out=v), _ONE, out=v)
 
 
-def holds_within_budget(pulse: PulseSpec, held: int) -> bool:
-    """Whether one pulse call may hold the whole noise draw of held devices."""
-    return 8 * held * pulse.duration / pulse.dt <= _HELD_NOISE_BYTES
-
-
 def integrate_pulse(
     x,
     pulse: PulseSpec,
@@ -270,14 +262,17 @@ def integrate_pulse(
     Sub-threshold drive gives a derivative of exactly zero in both stages,
     so the state is left bit-identical.
 
-    noise is one model for every device, or a list of (model, count) or
-    (model, count, amplitude) segments that split the flattened states in
-    order: one call can program several runs, each on its own noise stream,
-    at either polarity.  Each block draws (steps, count) from every active
-    segment's stream; a segment without active noise gets a gain of exactly
-    1.  A segment whose model also feeds a later segment draws its whole
-    pulse up front instead.  So every segment gets the numbers a call on
-    its devices alone would draw, one call per segment in order.
+    noise is None, one model, or a list of (model, count, amplitude)
+    segments that split the flattened states in order: one call can program
+    several runs, each on its own noise stream, at either polarity.  One
+    model is one segment at pulse.amplitude.  Each block draws (steps,
+    count) from every active segment's stream; a segment without active
+    noise gets a gain of exactly 1.  A segment whose model also feeds a
+    later segment draws its whole pulse up front instead (8 bytes per device
+    and step); past _HELD_NOISE_BYTES for them all, the segments up to the
+    last held one go as a first pass of this function, the rest as a second.
+    So every segment gets the numbers a call on its devices alone would
+    draw, one call per segment in order.
 
     A noisy call on at least _DRAW_AHEAD_DEVICES devices builds its noise
     blocks on a producer thread (:func:`_drawn_ahead`) while this thread
@@ -290,35 +285,36 @@ def integrate_pulse(
     xa = np.array(x, dtype=float)
     shape = xa.shape
     xa = xa.reshape(-1)
-    segments = noise if isinstance(noise, list) else [(noise, xa.size)]
-    counts = [segment[1] for segment in segments]
+    segments = noise if isinstance(noise, list) else [(noise, xa.size, pulse.amplitude)]
+    counts = [count for _, count, _ in segments]
     if sum(counts) != xa.size:
         raise ValueError("noise segment counts must add up to the number of states")
     n_full, remainder = divmod(pulse.duration, pulse.dt)
     steps = [np.array(pulse.dt)] * int(round(n_full))  # 0-d, like the constants
     if remainder > 1e-12 * pulse.dt:
         steps.append(np.array(remainder))
-    amplitudes = [segment[2] if len(segment) > 2 else pulse.amplitude for segment in segments]
-    drive = np.repeat([_drive(amplitude, params) for amplitude in amplitudes], counts)
-    models = [m if m is not None and m.active else None for m, *_ in segments]
+    models = [m if m is not None and m.active else None for m, _, _ in segments]
+    last = {id(m): i for i, m in enumerate(models) if m is not None}
+    held = [i for i, m in enumerate(models) if last.get(id(m), i) > i]
+    if 8 * len(steps) * sum(counts[i] for i in held) > _HELD_NOISE_BYTES:
+        cut = held[-1] + 1
+        passes = zip(np.split(xa, [sum(counts[:cut])]), (segments[:cut], segments[cut:]))
+        xa = np.concatenate([integrate_pulse(xs, pulse, params, s) for xs, s in passes if xs.size])
+        return float(xa[0]) if not shape else xa.reshape(shape)
+    drive = np.repeat([_drive(amplitude, params) for _, _, amplitude in segments], counts)
 
     def draw(model: NoiseModel, n_steps: int, count: int) -> np.ndarray:
         gains = model.rng().standard_normal((n_steps, count))
         return np.add(np.multiply(gains, model.sigma, out=gains), 1.0, out=gains)
 
-    last = {id(m): i for i, m in enumerate(models) if m is not None}
-    held = {
-        i: draw(m, len(steps), counts[i]) for i, m in enumerate(models) if last.get(id(m), i) > i
-    }
+    held_draws = {i: draw(models[i], len(steps), counts[i]) for i in held}
     k1, k2, y, shifted, tmp = (np.empty_like(xa) for _ in range(5))
-    neg_tau, p_exp, thickness = map(np.array, (-params.tau, params.p_exp, params.d_thickness))
-    # decided once per call: x / 1.0 == x, and see _window_into for p = 2
-    square, unit = params.p_exp == 2.0, params.d_thickness == 1.0
+    neg_tau, p_exp = np.array(-params.tau), np.array(params.p_exp)
+    square = params.p_exp == 2.0  # decided once per call: see _window_into
 
     def rate(xs, out):
         _window_into(xs, neg_tau, p_exp, square, out, shifted, tmp)
-        np.multiply(drive, out, out=out)
-        return out if unit else np.divide(out, thickness, out=out)
+        return np.multiply(drive, out, out=out)
 
     noisy = any(m is not None for m in models)
     block = max(1, _NOISE_BLOCK_BYTES // max(xa.nbytes, 1)) if noisy else len(steps)
@@ -327,7 +323,7 @@ def integrate_pulse(
     def gains_for(start: int) -> np.ndarray:
         n_steps = len(steps[start : start + block])
         parts = [
-            held[i][start : start + n_steps] if i in held
+            held_draws[i][start : start + n_steps] if i in held_draws
             else np.ones((n_steps, counts[i])) if m is None
             else draw(m, n_steps, counts[i])
             for i, m in enumerate(models)
@@ -608,6 +604,8 @@ def calibrate_metastate_table(
         pulse = PulseSpec(amplitude=1.2)
     if pulse.amplitude <= params.v_off:
         raise CalibrationError("programming amplitude must exceed v_off")
+    if -pulse.amplitude >= params.v_on:
+        raise CalibrationError("programming amplitude must exceed -v_on")
     table = _calibrated_table(params, n_levels, pulse)
     if ratio_bounds is not None:
         ratio = metastate_ratio(table, params)

@@ -54,9 +54,11 @@ class ExperimentSpec:
             values = getattr(self, name)
             if len(values) < 1:
                 raise ValueError(f"{name} must not be empty")
-            for v in values:
+            for i, v in enumerate(values):
                 if not ok(v):
                     raise ValueError(f"{name} entries must be {bound}, got {v}")
+                if v in values[:i]:
+                    raise ValueError(f"{name} entries must not repeat, got {v} twice")
         if self.n_patterns < 1:
             raise ValueError("n_patterns must be >= 1")
         if not 0.0 < self.mean_threshold < 1.0:

@@ -100,12 +100,13 @@ def transition_arrays(
     chain indices.
 
     On the chain index a step is a saturating +1 (potentiate) or -1
-    (depress); only entries where ``select`` is True move.
+    (depress); only entries where ``select`` is True move.  The clip comes
+    before the step, so the widest chain's top index cannot wrap.
     """
     if direction is UpdateDirection.POTENTIATE:
-        np.minimum(state + 1, 2 * n_levels - 1, out=state, where=select)
+        np.add(np.minimum(state, 2 * n_levels - 2), 1, out=state, where=select)
     else:
-        np.maximum(state - 1, 0, out=state, where=select)
+        np.subtract(np.maximum(state, 1), 1, out=state, where=select)
 
 
 def gradient_step(

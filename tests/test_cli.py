@@ -104,7 +104,7 @@ KEYS = [
     "seeds", "n_patterns", "mean_threshold", "hardware", "size_grid", "c_grid",
     "f_grid",
     "g_on", "g_off", "v_off", "v_on", "k_off", "k_on", "alpha_off", "alpha_on",
-    "d_thickness", "tau", "p_exp",
+    "tau", "p_exp",
     "sigma",
     "out_dir",
 ]
@@ -118,7 +118,7 @@ BAD = {
     "size_grid": "16, 0", "c_grid": "1.5", "f_grid": "0.0",
     "g_on": "1e-8", "g_off": "-1e-9", "v_off": "-0.5", "v_on": "0.5",
     "k_off": "-1.0", "k_on": "1.0", "alpha_off": "-1.0", "alpha_on": "-1.0",
-    "d_thickness": "0.0", "tau": "-1.0", "p_exp": "3.0",
+    "tau": "-1.0", "p_exp": "3.0",
     "sigma": "-0.1",
     "out_dir": "",
 }
@@ -126,7 +126,7 @@ BAD = {
 
 def test_key_set_is_pinned():
     keys = [line.split(" = ")[0] for line in serialize_config(RunConfig()).splitlines()]
-    assert keys == KEYS and len(KEYS) == 30
+    assert keys == KEYS and len(KEYS) == 29
     assert sorted(BAD) == sorted(KEYS)
 
 
@@ -185,10 +185,15 @@ def test_every_key_range_checked(key):
         lambda: DeviceParams(g_on=float("inf")),
         lambda: DeviceParams(k_off=float("inf")),
         lambda: DeviceParams(tau=float("inf")),
+        lambda: ExperimentSpec(seeds=(0, 1, 0)),
+        lambda: ExperimentSpec(size_grid=(8, 8)),
+        lambda: ExperimentSpec(c_grid=(0.5, 0.5)),
+        lambda: ExperimentSpec(f_grid=(0.25, 0.5, 0.25)),
     ],
     ids=[
         "learning_rate", "seed", "alpha_off", "tau", "c_grid", "f_nan", "sigma_nan",
         "sigma_inf", "noise_sigma_inf", "g_on_inf", "k_off_inf", "tau_inf",
+        "seeds_repeat", "size_grid_repeat", "c_grid_repeat", "f_grid_repeat",
     ],
 )
 def test_library_rejects_what_the_cli_rejects(build):
@@ -204,6 +209,18 @@ def test_infinite_value_rejected_at_its_line(key, value):
     # sigma = inf used to parse and then give NaN states; infinite k_off, k_on
     # or tau surfaced only later, as a misleading calibration error
     with pytest.raises(ConfigError, match=rf"^line 2: '{key}' rejected: .*finite"):
+        parse_config(f"n_in = 32\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize(
+    "key, value, repeated",
+    [("seeds", "0, 0", "0"), ("size_grid", "8, 16, 8", "8"), ("c_grid", "0.5, 0.5", "0.5"),
+     ("f_grid", "0.25, 0.1, 0.25", "0.25")],
+)
+def test_repeated_entry_rejected_at_its_line(key, value, repeated):
+    # seeds = 0, 0 used to run seed 0 twice, and size_grid = 8, 8 to write
+    # two identical rows under one plotted line
+    with pytest.raises(ConfigError, match=rf"^line 2: '{key}' rejected: .*repeat.* {repeated} twice"):
         parse_config(f"n_in = 32\n{key} = {value}\n")
 
 
@@ -260,7 +277,6 @@ k_off = 8000000.0
 k_on = -9000000.0
 alpha_off = 2.0
 alpha_on = 4.0
-d_thickness = 1.5
 tau = 1.5
 p_exp = 4.0
 sigma = 0.1
@@ -271,7 +287,7 @@ EVERY_BASE = NetworkConfig(
 )
 EVERY_PARAMS = DeviceParams(
     g_on=2e-05, g_off=2e-07, v_off=0.9, v_on=-0.8, k_off=8.0e6, k_on=-9.0e6,
-    alpha_off=2.0, alpha_on=4.0, d_thickness=1.5, tau=1.5, p_exp=4.0,
+    alpha_off=2.0, alpha_on=4.0, tau=1.5, p_exp=4.0,
 )
 
 # command -> (the config fields its cells set, the (kind, values) of every call)
@@ -572,6 +588,29 @@ def test_main_rejects_gradient_hardware_run(tmp_path, capsys):
     assert main(["run", str(cfgfile)]) == 1
     assert "error: the gradient model has no crossbar realization" in capsys.readouterr().err
     assert not (tmp_path / "out" / "traces.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "cmd, v_on, message",
+    [
+        ("calibrate-device", -1.5, "programming amplitude must exceed -v_on"),
+        ("run", -1.5, "programming amplitude must exceed -v_on"),
+        ("run", -0.5, "negative half-select voltage must stay above v_on"),
+    ],
+    ids=["calibrate-pulse", "run-pulse", "run-half-select"],
+)
+def test_main_rejects_a_device_the_depress_side_breaks(tmp_path, capsys, cmd, v_on, message):
+    # at v_on = -1.5 the -1.2 V depress pulse moved nothing, and a hardware
+    # run ended at mean 0.525 against 0.773 without an error; at v_on = -0.5
+    # the 0.6 V half-select disturbed the held rows
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text(
+        TINY + f"hardware = true\nv_on = {v_on}\nout_dir = {tmp_path / 'out'}\n",
+        encoding="utf-8",
+    )
+    assert main([cmd, str(cfgfile)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not any((tmp_path / "out").glob("*.csv"))
 
 
 def test_main_runs_with_config(tmp_path, capsys, monkeypatch):

@@ -277,29 +277,47 @@ def test_a_bound_noise_model_restarts_in_every_run():
 
 
 def test_one_pulse_call_per_round_equals_one_per_phase(monkeypatch):
-    """A round programs both phases with one pulse call that holds the
-    potentiation noise draw; a held-draw budget of 0 gives each phase its
-    own call instead.  Both must give the same traces and event log bytes."""
+    """A round programs both phases with one pulse call, under the default
+    held-draw budget and under a budget of 0, where the kernel itself splits
+    the call into one pass per phase.  Both must give the same traces and
+    event log bytes."""
     cfgs = [
         NetworkConfig(n_in=24, n_out=20, model=Model.BINARY, q=0.5, updates_per_pattern=3, seed=2),
         NetworkConfig(n_in=16, n_out=16, q=0.5, updates_per_pattern=3, seed=3),
     ]
-    calls = []
+    calls, passes, rounds = [], [], []
     pulse = crossbar.integrate_pulse
     monkeypatch.setattr(crossbar, "integrate_pulse", lambda *a: calls.append(a) or pulse(*a))
+    # the kernel's own passes call it through the device module
+    monkeypatch.setattr(device, "integrate_pulse", lambda *a: passes.append(a) or pulse(*a))
+    correct = crossbar.correct_pattern
+
+    def counted(runs, read, step, pats):
+        def round_(phases):
+            xs, n, m = [run.x.copy() for run in runs], len(calls), len(passes)
+            step(phases)
+            moved = any(not np.array_equal(x, run.x) for x, run in zip(xs, runs))
+            rounds.append((len(calls) - n, len(passes) - m, moved))
+
+        correct(runs, read, round_, pats)
+
+    monkeypatch.setattr(crossbar, "correct_pattern", counted)
 
     def run():
-        calls.clear()
+        for seen in (calls, passes, rounds):
+            seen.clear()
         traces = run_lifetime_hw(cfgs, n_patterns=12)
         logs = [EventLog() for _ in cfgs]
         for cfg, log in zip(cfgs, logs):
             run_lifetime_hw(cfg, n_patterns=12, event_log=log)
-        return traces, logs, len(calls)
+        assert all(n == int(moved) for n, _, moved in rounds)
+        return traces, logs, len(calls), sum(m for _, m, _ in rounds)
 
     merged = run()
     monkeypatch.setattr(device, "_HELD_NOISE_BYTES", 0)
     split = run()
-    assert merged[2] < split[2]
+    assert merged[2] == split[2] > 0
+    assert merged[3] == 0 < split[3]
     for a, b in zip(merged[0], split[0]):
         assert a.learning.tobytes() == b.learning.tobytes()
         assert a.mean.tobytes() == b.mean.tobytes()
@@ -403,6 +421,12 @@ def test_exact_reductions_hold_for_every_accepted_config(
 def test_read_voltage_must_stay_subthreshold():
     with pytest.raises(ValueError):
         init_crossbar(SMALL, v_read=1.5)
+
+
+def test_half_select_must_stay_subthreshold_on_the_depress_side():
+    # the 0.6 V held rows would cross v_on = -0.5 at the depress polarity
+    with pytest.raises(ValueError, match="v_on"):
+        init_crossbar(SMALL, params=DeviceParams(v_on=-0.5))
 
 
 # ---- leakage ----------------------------------------------------------------------

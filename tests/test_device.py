@@ -3,6 +3,7 @@ the device/state-machine correspondence."""
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,7 +63,6 @@ IDEAL_PLATEAUS = np.array(
     ]
 )
 # dx/dt at x = 0.5 under 1.2 V: the voltage factor alone, since window(0.5) == 1
-# and d_thickness == 1
 GOLDEN_RATE_AT_HALF = 56050.774498372756
 
 
@@ -196,6 +196,16 @@ def test_single_level_calibration(params):
     assert table.plateaus[1] == pytest.approx(1.0 - table.plateaus[0], abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "changed, threshold", [({"v_off": 1.5}, "v_off"), ({"v_on": -1.5}, "-v_on")],
+    ids=["potentiate", "depress"],
+)
+def test_calibration_needs_a_pulse_past_both_thresholds(changed, threshold):
+    # a 1.2 V pulse under a 1.5 V threshold moves nothing at that polarity
+    with pytest.raises(CalibrationError, match=f"^programming amplitude must exceed {threshold}$"):
+        calibrate_metastate_table(DeviceParams(**changed), ratio_bounds=None)
+
+
 def test_calibration_ratio_guard(params):
     # an unreachable ratio band must fail loudly, not silently mis-ship
     with pytest.raises(CalibrationError):
@@ -214,7 +224,7 @@ def _reference_integrate_pulse(x, pulse, params, noise=None):
         va = np.asarray(pulse.amplitude, dtype=float)
         up = params.k_off * np.maximum(va / params.v_off - 1.0, 0.0) ** params.alpha_off
         down = params.k_on * np.maximum(va / params.v_on - 1.0, 0.0) ** params.alpha_on
-        return (up + down) * window(x, params) / params.d_thickness
+        return (up + down) * window(x, params)
 
     xa = np.asarray(x, dtype=float).copy()
     scalar = xa.ndim == 0
@@ -289,8 +299,8 @@ def test_integrate_pulse_matches_reference_kernel(params, n, amplitude, sigma):
 
 def _integrate_pulse_generic(x, pulse, params, noise=None):
     """The Heun kernel with every stage in the generic operation order:
-    (1 - (4 s) s) exp(-tau power(s, p)), times the drive, divided by the
-    thickness; noise drawn step by step."""
+    (1 - (4 s) s) exp(-tau power(s, p)), times the drive; noise drawn step
+    by step."""
     xa = np.array(x, dtype=float).reshape(-1)
     n_full, remainder = divmod(pulse.duration, pulse.dt)
     steps = [pulse.dt] * int(round(n_full))
@@ -301,7 +311,7 @@ def _integrate_pulse_generic(x, pulse, params, noise=None):
     def rate(xs):
         s = xs - 0.5
         w = (1.0 - (4.0 * s) * s) * np.exp(-params.tau * np.power(s, params.p_exp))
-        return (drive * w) / params.d_thickness
+        return drive * w
 
     def clamp(v):
         return np.minimum(np.maximum(0.0, v), 1.0)
@@ -322,9 +332,11 @@ def _integrate_pulse_generic(x, pulse, params, noise=None):
 @pytest.mark.parametrize("amplitude", [1.2, -1.2])
 @pytest.mark.parametrize("sigma", [0.0, 0.25], ids=["quiet", "noisy"])
 def test_lean_heun_stage_equals_the_generic_order(p_exp, thickness, amplitude, sigma):
-    """p = 2 squares x - 0.5 once for both window terms and D = 1 skips the
-    divide; other values take the generic stage.  Both give its bits."""
-    params = DeviceParams(p_exp=p_exp, d_thickness=thickness)
+    """p = 2 squares x - 0.5 once for both window terms; other powers take
+    the generic stage.  Both give its bits, also with a thickness D folded
+    into the rate constants."""
+    k = DeviceParams().k_off / thickness
+    params = DeviceParams(p_exp=p_exp, k_off=k, k_on=-k)
     x = np.concatenate([EDGE_STATES, np.random.default_rng(5).random(2000)])
     x[-3:] = [0.5 - 2.0**-54, 0.5 + 2.0**-53, 0.25]
     pulse = PulseSpec(amplitude=amplitude)
@@ -387,7 +399,7 @@ def test_segmented_pulse_equals_separate_calls(params, counts, phases, amplitude
 
 def test_segment_counts_must_cover_the_states(params):
     with pytest.raises(ValueError, match="add up"):
-        integrate_pulse(np.zeros(4), PulseSpec(1.2), params, [(None, 3)])
+        integrate_pulse(np.zeros(4), PulseSpec(1.2), params, [(None, 3, 1.2)])
 
 
 # ---- noise drawn ahead on a producer thread -------------------------------------
@@ -431,42 +443,64 @@ def _within(fn, timeout=60.0):
     return raised[0] if raised else None
 
 
+# a lockstep round's segments: models a and b each feed a potentiate and a
+# later depress segment, so their potentiate draws (4.8 MB) are held
+TWO_PHASE = [("a", 3000, 1), (None, 500, 1), ("b", 1000, 1), ("a", 2000, -1), ("b", 700, -1)]
+
+
 @pytest.mark.parametrize(
-    "spec, pulse, block_bytes",
+    "spec, pulse, block_bytes, held_bytes, passes",
     [
-        ([("a", 6000, 1)], PulseSpec(1.2), None),
+        ([("a", 6000, 1)], PulseSpec(1.2), None, None, 1),
         (
             [("a", 2500, 1), (None, 1000, 1), ("off", 1500, 1), ("b", 0, 1), ("c", 2000, 1)],
             PulseSpec(-1.2),
             None,
-        ),
-        (
-            [("a", 3000, 1), (None, 500, 1), ("b", 1000, 1), ("a", 2000, -1), ("b", 700, -1)],
-            PulseSpec(1.2),
             None,
+            1,
         ),
-        ([("a", 5000, 1)], PulseSpec(1.2, duration=15.05e-6), None),
-        ([("a", 3000, 1), ("b", 2000, -1)], PulseSpec(1.2), 8),
+        (TWO_PHASE, PulseSpec(1.2), None, 1 << 23, 1),
+        (TWO_PHASE, PulseSpec(1.2), None, None, 2),
+        ([("a", 5000, 1)], PulseSpec(1.2, duration=15.05e-6), None, None, 1),
+        ([("a", 3000, 1), ("b", 2000, -1)], PulseSpec(1.2), 8, None, 1),
     ],
-    ids=["one-model", "segments", "two-phase-held", "short-final-step", "one-step-blocks"],
+    ids=[
+        "one-model", "segments", "two-phase-held", "over-budget", "short-final-step",
+        "one-step-blocks",
+    ],
 )
-def test_drawing_ahead_is_bit_identical(params, monkeypatch, ahead_calls, spec, pulse, block_bytes):
+def test_drawing_ahead_is_bit_identical(
+    params, monkeypatch, ahead_calls, spec, pulse, block_bytes, held_bytes, passes
+):
     """Noise blocks drawn on a producer thread give the serial loop's output
-    bytes and leave every stream where the serial loop leaves it."""
+    bytes and leave every stream where the serial loop leaves it, and both
+    equal the serial reference of one call per segment in order.  Past the
+    held-draw budget the call programs in two passes, each drawing ahead."""
     if block_bytes is not None:
         monkeypatch.setattr(device, "_NOISE_BLOCK_BYTES", block_bytes)
+    if held_bytes is not None:
+        monkeypatch.setattr(device, "_HELD_NOISE_BYTES", held_bytes)
     x = np.random.default_rng(5).random(sum(count for _, count, _ in spec))
     before = set(threading.enumerate())
     runs = []
-    for gate in (SERIAL, 1):
-        monkeypatch.setattr(device, "_DRAW_AHEAD_DEVICES", gate)
+    for gate in (SERIAL, 1, "reference"):
+        monkeypatch.setattr(device, "_DRAW_AHEAD_DEVICES", SERIAL if gate == "reference" else gate)
         models = {key: NOISE_KINDS[key]() for key, _, _ in spec}
         segments = [(models[key], count, sign * pulse.amplitude) for key, count, sign in spec]
-        out = integrate_pulse(x, pulse, params, segments)
+        if gate == "reference":
+            parts = np.split(x, np.cumsum([count for _, count, _ in spec])[:-1])
+            out = np.concatenate(
+                [
+                    integrate_pulse(xs, replace(pulse, amplitude=a), params, model)
+                    for xs, (model, _, a) in zip(parts, segments)
+                ]
+            )
+        else:
+            out = integrate_pulse(x, pulse, params, segments)
         states = {k: m.rng().bit_generator.state for k, m in models.items() if m and m.active}
         runs.append((out.tobytes(), states))
-    assert len(ahead_calls) == 1
-    assert runs[0] == runs[1]
+    assert len(ahead_calls) == passes
+    assert runs[0] == runs[1] == runs[2]
     assert set(threading.enumerate()) == before
 
 
@@ -747,8 +781,9 @@ def test_noisy_programming_mostly_tracks_noise_free(params, table):
         xs = np.full(len(noises), table.x_for(MetaState(Efficacy.LOW, 0, 3)))
         for d in cmds:
             guard = table.verify(xs, d)
-            segments = [(noise, int(g)) for noise, g in zip(noises, guard)]
-            xs[guard] = integrate_pulse(xs[guard], table.pulse_for(d), params, segments)
+            pulse = table.pulse_for(d)
+            segments = [(noise, int(g), pulse.amplitude) for noise, g in zip(noises, guard)]
+            xs[guard] = integrate_pulse(xs[guard], pulse, params, segments)
         agree += int(np.sum(table.decode_index(xs) == chain_index(clean)))
         trials += len(noises)
     assert agree / trials >= 0.95
@@ -827,11 +862,9 @@ def test_device_params_validation():
         DeviceParams(v_on=0.5)
     with pytest.raises(ValueError):
         DeviceParams(k_off=-1.0)
-    with pytest.raises(ValueError):
-        DeviceParams(d_thickness=0.0)
     # an infinite value used to give a constant trace or a misleading
     # calibration error; NaN fails by name too
-    for name in ("g_on", "k_off", "k_on", "tau", "alpha_on", "d_thickness"):
+    for name in ("g_on", "k_off", "k_on", "tau", "alpha_on"):
         for bad in (float("inf"), -float("inf"), float("nan")):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 DeviceParams(**{name: bad})
@@ -840,6 +873,7 @@ def test_device_params_validation():
         with pytest.raises(ValueError, match="p_exp"):
             DeviceParams(p_exp=bad)
     assert DeviceParams(p_exp=4.0).p_exp == 4.0
-    # the window centre is fixed, not a parameter
-    with pytest.raises(TypeError):
-        DeviceParams(delta=0.5)
+    # the window centre is fixed, and the thickness is folded into k_off, k_on
+    for gone in ("delta", "d_thickness"):
+        with pytest.raises(TypeError):
+            DeviceParams(**{gone: 0.5})

@@ -51,6 +51,17 @@ CHAIN_TABLE = {
 }
 
 
+# The ends and the flip of the widest chain whose indices fit int64, where a
+# step taken before its clip would wrap the top index 2**63 - 1.
+WIDE = 2**62
+CHAIN_ENDS = {
+    WIDE: {
+        POT: {("L", WIDE - 1): ("L", WIDE - 2), ("L", 0): ("H", 0), ("H", WIDE - 1): ("H", WIDE - 1)},
+        DEP: {("L", WIDE - 1): ("L", WIDE - 1), ("H", 0): ("L", 0), ("H", WIDE - 1): ("H", WIDE - 2)},
+    },
+}
+
+
 def from_table(entry: tuple[str, int], n: int) -> MetaState:
     return MetaState(Efficacy.HIGH if entry[0] == "H" else Efficacy.LOW, entry[1], n)
 
@@ -81,13 +92,19 @@ def test_single_steps(state, direction, expected):
     assert transition(state, direction) == expected
 
 
-@pytest.mark.parametrize("n", sorted(CHAIN_TABLE))
+@pytest.mark.parametrize("n", [*sorted(CHAIN_TABLE), *CHAIN_ENDS])
 @pytest.mark.parametrize("direction", [POT, DEP])
 def test_transition_matches_the_chain_table(n, direction):
-    table = CHAIN_TABLE[n][direction]
-    assert len(table) == 2 * n
-    for before, after in table.items():
-        assert transition(from_table(before, n), direction) == from_table(after, n)
+    """Both the scalar and the vector rule step every listed state as the
+    table says, the widest chain's ends included."""
+    table = {**CHAIN_TABLE, **CHAIN_ENDS}[n][direction]
+    assert n in CHAIN_ENDS or len(table) == 2 * n
+    befores = [from_table(before, n) for before in table]
+    afters = [from_table(after, n) for after in table.values()]
+    assert [transition(s, direction) for s in befores] == afters
+    state = np.array([chain_index(s) for s in befores], dtype=np.int64)
+    transition_arrays(state, n, direction, np.ones(state.size, dtype=bool))
+    assert [chain_state(int(i), n) for i in state] == afters
 
 
 def test_metalevel_bounds_enforced():
