@@ -89,43 +89,45 @@ class EventLog:
 
 
 class Crossbar:
-    """Device matrix plus read/program circuitry parameters."""
+    """Device matrix plus read/program circuitry parameters: the hardware twin
+    of a behavioral network, with its mask, its train stream and one device
+    per crosspoint, connected ones on the plateau of their chain index and
+    pruned ones at x = 0.  Noise is drawn from a copy of the given model on
+    the run's own noise stream, so the model must leave rng_seed unset; the
+    caller's model never draws."""
 
     def __init__(
         self,
-        cfg: NetworkConfig,
-        x: np.ndarray,
-        mask: np.ndarray,
+        net: BehavioralNetwork,
         params: DeviceParams,
         table: MetastateTable,
         v_read: float = 0.3,
         noise: NoiseModel | None = None,
     ):
-        self.cfg = cfg
-        self.x = x
-        self.mask = mask
-        self.params = params
-        self.table = table
-        self.v_read = v_read
+        if not 0.0 < v_read < params.v_off:
+            raise ValueError(f"v_read must lie in (0, v_off = {params.v_off}), got {v_read}")
         self.v_half = abs(table.pulse.amplitude) / 2.0
-        streams = seed_streams(cfg.seed)
-        self.train_rng = np.random.default_rng(streams["train"])
-        # a copy with a fresh generator: the crossbar starts its stream from
-        # the beginning, and the caller's model never draws
-        if noise is not None:
-            seed = streams["noise"] if noise.rng_seed is None else noise.rng_seed
-            noise = replace(noise, rng_seed=seed, _rng=None)
-        self.noise = noise
-        if not abs(v_read) < params.v_off:
-            raise ValueError("v_read would disturb the devices")
         if not self.v_half < params.v_off:
             raise ValueError("half-select voltage must stay below v_off")
         if not -self.v_half > params.v_on:
             raise ValueError("negative half-select voltage must stay above v_on")
+        if noise is not None:
+            if noise.rng_seed is not None:
+                raise ValueError(
+                    "a hardware run draws noise from its own seed's stream, so its "
+                    "noise model must leave rng_seed unset"
+                )
+            noise = replace(noise, rng_seed=seed_streams(net.cfg.seed)["noise"], _rng=None)
+        self.noise = noise
+        self.cfg, self.mask, self.train_rng = net.cfg, net.mask, net.train_rng
+        self.x = np.where(net.mask, table.plateaus[net.state], 0.0)
+        self.params = params
+        self.table = table
+        self.v_read = v_read
         # The reference operating point is resolved once, at the initial
         # state; at extreme connectivity/activity corners it may lie beyond
         # any current a column can reach.
-        self.i_ref = reference_current_level(table, params, cfg, v_read)
+        self.i_ref = reference_current_level(table, params, net.cfg, v_read)
 
     # ---- read path -----------------------------------------------------
 
@@ -237,21 +239,17 @@ def init_crossbar(
 ) -> Crossbar:
     """Build a crossbar mirroring the behavioral network's initial state.
 
-    The metastate table is calibrated for the config's level count.  The
-    mask and the random high/low efficacy assignment are drawn from the
-    same config-derived stream the behavioral model uses, so both paths
-    start from identical synapses.  Connected devices are programmed to
-    the plateau of their chain index; pruned crosspoints sit at x = 0.
+    The metastate table is calibrated for the config's level count, and the
+    crossbar is the twin of the config's freshly initialized behavioral
+    network, so both paths start from identical synapses and draw their q
+    gates from the same stream.
     """
     if cfg.model is Model.GRADIENT:
         raise ValueError("the gradient model has no crossbar realization")
     if params is None:
         params = DeviceParams.default()
     table = calibrate_metastate_table(params, n_levels=cfg.effective_levels, ratio_bounds=None)
-    net = BehavioralNetwork.initialize(cfg)
-    x = np.zeros((cfg.n_in, cfg.n_out))
-    x[net.mask] = table.plateaus[net.state[net.mask]]
-    return Crossbar(cfg, x, net.mask, params, table, v_read, noise)
+    return Crossbar(BehavioralNetwork.initialize(cfg), params, table, v_read, noise)
 
 
 def run_lifetime_hw(
@@ -266,32 +264,22 @@ def run_lifetime_hw(
 
     Patterns and the initial synapse assignment are identical to the
     behavioral run with the same config; only inference and updates go
-    through the device model.  A noise model without rng_seed, such as the
-    default at sigma 0.25, draws from the noise stream of cfg.seed; None or
-    sigma = 0 turns noise off.  comparator names the column decision rule;
-    its only mode, the fixed reference, is the one every crossbar uses.
+    through the device model.  Every crossbar draws its noise from the
+    noise stream of its own config's seed, at the sigma of ``noise``: the
+    default is 0.25, and None or sigma = 0 turns noise off.  comparator
+    names the column decision rule; its only mode, the fixed reference, is
+    the one every crossbar uses.
 
     Given a sequence of configs, the runs go in lockstep through
     :func:`train_lockstep` and one trace per config comes back, each equal
-    to the trace of that config run alone; a noise model with rng_seed set
-    cannot be shared, and an event log needs a single config.
+    to the trace of that config run alone; an event log needs a single
+    config.
     """
     one = isinstance(cfg, NetworkConfig)
     cfgs = [cfg] if one else list(cfg)
-    if len(cfgs) > 1 and noise is not None and noise.rng_seed is not None:
-        raise ValueError(
-            "runs in lockstep cannot share a noise model with an rng_seed, since every "
-            "run would draw the same noise; leave rng_seed unset so that each run "
-            "draws from its own stream"
-        )
     crossbars = [init_crossbar(c, params=params, noise=noise) for c in cfgs]
-    counter = iter(range(n_patterns))
-
-    def step(pats: list[Pattern]) -> None:
-        train_lockstep(crossbars, pats, log=event_log, step=next(counter))
-
     traces = lifetime_loop(
-        step,
+        lambda t, pats: train_lockstep(crossbars, pats, log=event_log, step=t),
         lambda k, rows: crossbars[k].infer_batch(rows),
         [make_pattern_set(c, n_patterns) for c in cfgs],
     )

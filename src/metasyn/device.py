@@ -96,8 +96,13 @@ class DeviceParams:
             raise ValueError("need v_on < 0 < v_off")
         if not (self.k_off > 0.0 > self.k_on):
             raise ValueError("need k_off > 0 > k_on")
-        if not (self.alpha_off >= 0.0 and self.alpha_on >= 0.0 and self.tau >= 0.0):
-            raise ValueError("need alpha_off, alpha_on and tau >= 0")
+        # at alpha = 0 the drive k * max(v / v_thresh - 1, 0) ** alpha is k
+        # below threshold too, since 0 ** 0 == 1
+        for name in ("alpha_off", "alpha_on"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.tau >= 0.0:
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
         # an odd or fractional power breaks the window's symmetry about the
         # centre, which the chain anchor search relies on
         if not (self.p_exp > 0.0 and self.p_exp % 2.0 == 0.0):
@@ -150,10 +155,10 @@ class NoiseModel:
     """Multiplicative Gaussian programming noise on each integration step.
 
     Each step's state increment is scaled by (1 + N(0, sigma)); sigma = 0 is
-    noise off.  The generator is created lazily from rng_seed so a run owns
-    one stream.  A model without rng_seed cannot draw: a crossbar replaces
-    it by a copy on its run's own noise stream, so one such model can serve
-    many runs.
+    noise off.  The generator is created lazily from rng_seed.  A hardware
+    run takes a model without rng_seed and draws from a copy bound to its
+    own seed's noise stream, so one model serves many runs; rng_seed is for
+    direct kernel calls.
     """
 
     sigma: float = 0.25

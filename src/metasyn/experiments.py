@@ -70,14 +70,13 @@ class ExperimentSpec:
 class SweepResult:
     """Assembled output of one experiment.
 
-    The cell arrays are indexed by the grid axes in order; invalid cells
+    The cell arrays have one axis per grid tuple, in order; invalid cells
     (a grid point that rounds to zero active bits or zero connected
     synapses) hold NaN and are flagged in `valid`.  Traces and crossings
     are keyed by cell label and hold one entry per seed; a crossing of
     None means the mean accuracy never fell below the threshold.
     """
 
-    axes: tuple[str, ...]
     grid: tuple[tuple, ...]
     mean_at_end: np.ndarray
     learning_at_end: np.ndarray
@@ -152,7 +151,6 @@ def _lockstep_groups(cfgs: list[NetworkConfig]) -> list[list[NetworkConfig]]:
 def run_cells(
     spec: ExperimentSpec,
     cells: list[Cell],
-    axes: tuple[str, ...],
     grid: tuple[tuple, ...],
     valid: np.ndarray | None = None,
 ) -> SweepResult:
@@ -198,8 +196,7 @@ def run_cells(
     if ends:
         learn_cells[valid], mean_cells[valid] = np.array(ends).T
     return SweepResult(
-        axes=axes, grid=grid,
-        mean_at_end=mean_cells, learning_at_end=learn_cells, valid=valid,
+        grid=grid, mean_at_end=mean_cells, learning_at_end=learn_cells, valid=valid,
         crossings=crossings, traces=traces, n_patterns=spec.n_patterns,
     )
 
@@ -220,7 +217,7 @@ def run_comparison(spec: ExperimentSpec, models: tuple[Model, ...] = tuple(Model
             for label, cfg, _ in cells
             if cfg.model is not Model.GRADIENT
         ]
-    result = run_cells(spec, cells, ("model",), (tuple(c[0] for c in cells),))
+    result = run_cells(spec, cells, (tuple(c[0] for c in cells),))
     if Model.BINARY not in models or Model.MULTISTATE not in models:
         return result
     multi, _ = result.crossing_stats("multistate")
@@ -234,7 +231,7 @@ def sweep_size(spec: ExperimentSpec) -> SweepResult:
         (str(n), replace(spec.base, n_in=n, n_out=n), spec.hardware)
         for n in spec.size_grid
     ]
-    return run_cells(spec, cells, ("size",), (tuple(spec.size_grid),))
+    return run_cells(spec, cells, (tuple(spec.size_grid),))
 
 
 def _cf_cell(base: NetworkConfig, c: float, f: float) -> NetworkConfig | None:
@@ -258,6 +255,4 @@ def sweep_cf(spec: ExperimentSpec) -> SweepResult:
         for (c, f), cfg in zip(points, cfgs)
         if cfg is not None
     ]
-    return run_cells(
-        spec, cells, ("connectivity", "activity"), grid, valid.reshape(len(grid[0]), -1)
-    )
+    return run_cells(spec, cells, grid, valid.reshape(len(grid[0]), -1))

@@ -263,17 +263,18 @@ def correct_pattern(
 
 
 def lifetime_loop(
-    net_step: Callable[[list[Pattern]], None],
+    net_step: Callable[[int, list[Pattern]], None],
     infer_batch: Callable[[int, np.ndarray], np.ndarray],
     pattern_sets: Sequence[list[Pattern]],
 ) -> list[AccuracyTrace]:
     """Shared train/measure protocol for the behavioral and hardware paths,
     over several runs in lockstep; run k presents pattern_sets[k].
 
-    At step t, ``net_step`` trains every run on its pattern t in one call.
-    Then every pattern run k has seen so far is re-inferred with its current
-    state through ``infer_batch(k, rows)``: learning[t] is the bit accuracy
-    on pattern t, mean[t] the average bit accuracy over patterns 0..t.
+    At step t, ``net_step(t, pats)`` trains every run on its pattern t in one
+    call.  Then every pattern run k has seen so far is re-inferred with its
+    current state through ``infer_batch(k, rows)``: learning[t] is the bit
+    accuracy on pattern t, mean[t] the average bit accuracy over patterns
+    0..t.
     """
     n = len(pattern_sets[0]) if pattern_sets else 0
     if any(len(patterns) != n for patterns in pattern_sets):
@@ -282,7 +283,7 @@ def lifetime_loop(
     targets = [np.stack([p.target_bits for p in ps]) for ps in pattern_sets]
     traces = [AccuracyTrace(learning=np.empty(n), mean=np.empty(n)) for _ in pattern_sets]
     for t in range(n):
-        net_step([patterns[t] for patterns in pattern_sets])
+        net_step(t, [patterns[t] for patterns in pattern_sets])
         for k, trace in enumerate(traces):
             outputs = infer_batch(k, inputs[k][: t + 1])
             acc = (outputs == targets[k][: t + 1]).mean(axis=1)
@@ -296,7 +297,7 @@ def run_lifetime(cfg: NetworkConfig, n_patterns: int = 100) -> AccuracyTrace:
     patterns = make_pattern_set(cfg, n_patterns)
     net = BehavioralNetwork.initialize(cfg)
     return lifetime_loop(
-        lambda pats: net.train_on_pattern(pats[0]),
+        lambda t, pats: net.train_on_pattern(pats[0]),
         net.retention_reader(np.stack([p.input_bits for p in patterns])),
         [patterns],
     )[0]

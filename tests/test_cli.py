@@ -176,6 +176,8 @@ def test_every_key_range_checked(key):
         lambda: NetworkConfig(learning_rate=-0.1),
         lambda: NetworkConfig(seed=-1),
         lambda: DeviceParams(alpha_off=-1.0),
+        lambda: DeviceParams(alpha_off=0.0),
+        lambda: DeviceParams(alpha_on=0.0),
         lambda: DeviceParams(tau=-1.0),
         lambda: ExperimentSpec(c_grid=(1.5,)),
         lambda: ExperimentSpec(f_grid=(float("nan"),)),
@@ -191,8 +193,9 @@ def test_every_key_range_checked(key):
         lambda: ExperimentSpec(f_grid=(0.25, 0.5, 0.25)),
     ],
     ids=[
-        "learning_rate", "seed", "alpha_off", "tau", "c_grid", "f_nan", "sigma_nan",
-        "sigma_inf", "noise_sigma_inf", "g_on_inf", "k_off_inf", "tau_inf",
+        "learning_rate", "seed", "alpha_off", "alpha_off_zero", "alpha_on_zero", "tau",
+        "c_grid", "f_nan", "sigma_nan", "sigma_inf", "noise_sigma_inf", "g_on_inf",
+        "k_off_inf", "tau_inf",
         "seeds_repeat", "size_grid_repeat", "c_grid_repeat", "f_grid_repeat",
     ],
 )
@@ -610,6 +613,19 @@ def test_main_rejects_a_device_the_depress_side_breaks(tmp_path, capsys, cmd, v_
     )
     assert main([cmd, str(cfgfile)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not any((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("key", ["alpha_off", "alpha_on"])
+def test_main_rejects_a_zero_alpha_at_its_line(tmp_path, capsys, key):
+    # at alpha = 0 the drive was k below threshold (0 ** 0 == 1); alpha_on = 0
+    # calibrated, and a hardware run silently ended far below the behavioral
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text(
+        TINY + f"hardware = true\n{key} = 0\nout_dir = {tmp_path / 'out'}\n", encoding="utf-8"
+    )
+    assert main(["run", str(cfgfile)]) == 1
+    assert f"error: line 10: '{key}' rejected: {key} must be > 0" in capsys.readouterr().err
     assert not any((tmp_path / "out").glob("*.csv"))
 
 

@@ -174,15 +174,17 @@ def test_run_lifetime_hw_rejects_no_patterns(n_patterns):
 
 
 def test_default_noise_is_the_seeds_noise_stream():
-    """The default model is unbound; each run binds it to its own seed's
-    noise stream, so it equals a model bound there by hand."""
+    """A crossbar binds its unbound model to a copy on its own seed's noise
+    stream: its first draws are that stream's, and the caller's model never
+    draws."""
     cfg = NetworkConfig(n_in=16, n_out=16, connectivity=0.5, activity=0.5, seed=4)
-    bound = NoiseModel(sigma=0.25, rng_seed=seed_streams(cfg.seed)["noise"])
+    model = NoiseModel()
+    xb = init_crossbar(cfg, noise=model)
+    stream = np.random.default_rng(seed_streams(cfg.seed)["noise"])
+    assert xb.noise.rng().standard_normal(64).tobytes() == stream.standard_normal(64).tobytes()
+    assert model._rng is None and model.rng_seed is None
     default = run_lifetime_hw(cfg, n_patterns=8)
-    by_hand = run_lifetime_hw(cfg, n_patterns=8, noise=bound)
     quiet = run_lifetime_hw(cfg, n_patterns=8, noise=None)
-    assert default.mean.tobytes() == by_hand.mean.tobytes()
-    assert default.learning.tobytes() == by_hand.learning.tobytes()
     assert default.mean.tobytes() != quiet.mean.tobytes()
 
 
@@ -226,48 +228,50 @@ def test_lockstep_rejects_what_it_cannot_share():
         train_lockstep([a, b], [pat, pat])
 
 
-def test_lockstep_rejects_a_shared_noise_model():
-    """A bound noise model given for several configs would make every run
-    draw the same noise, so run_lifetime_hw rejects it; None for both is
-    fine.  Each crossbar binds its own fresh copy, so crossbars built one
-    at a time from one bound model each start that seed's stream from its
-    beginning, in lockstep as alone; distinct models with equal seeds next
-    to models of other kinds are fine too."""
-    shared = NoiseModel(sigma=0.1, rng_seed=7)
+@pytest.mark.parametrize("cfgs", [SMALL, [SMALL], [SMALL, SMALL]], ids=["one", "list1", "list2"])
+def test_a_noise_model_with_rng_seed_is_rejected(cfgs):
+    """A hardware run draws from its own seed's noise stream; a model with
+    rng_seed set would have its seed ignored, so it is rejected, for one
+    config and for a list."""
     with pytest.raises(ValueError, match="rng_seed"):
-        run_lifetime_hw([SMALL, SMALL], n_patterns=2, noise=shared)
-    run_lifetime_hw([SMALL, SMALL], n_patterns=2, noise=None)
+        run_lifetime_hw(cfgs, n_patterns=2, noise=NoiseModel(sigma=0.1, rng_seed=7))
+    with pytest.raises(ValueError, match="rng_seed"):
+        init_crossbar(SMALL, noise=NoiseModel(sigma=0.0, rng_seed=7))
 
+
+def test_one_noise_model_serves_many_crossbars():
+    """Crossbars built one at a time from one unbound model each start their
+    seed's stream from its beginning, and the caller's model never draws;
+    models of every kind in one lockstep group end where they end alone."""
     cfg = NetworkConfig(n_in=16, n_out=16, connectivity=0.5, activity=0.5, seed=1)
     pats = make_pattern_set(cfg, 6)
+    shared = NoiseModel(sigma=0.1)
     a, b = init_crossbar(cfg, noise=shared), init_crossbar(cfg, noise=shared)
     for pat in pats:
         train_lockstep([a, b], [pat, pat])
     assert a.x.tobytes() == b.x.tobytes()
-    assert shared._rng is None  # the caller's model never draws
+    assert shared._rng is None
 
-    def models():
-        equal_seeds = [NoiseModel(sigma=0.1, rng_seed=7), NoiseModel(sigma=0.1, rng_seed=7)]
-        return equal_seeds + [NoiseModel(), NoiseModel.off(), None]
-
-    together = [init_crossbar(cfg, noise=noise) for noise in models()]
+    models = [NoiseModel(sigma=0.1), NoiseModel(), NoiseModel.off(), None]
+    together = [init_crossbar(cfg, noise=noise) for noise in models]
     for pat in pats:
         train_lockstep(together, [pat] * len(together))
-    for xb, noise in zip(together, models(), strict=True):
+    for xb, noise in zip(together, models, strict=True):
         alone = init_crossbar(cfg, noise=noise)
         for pat in pats:
             alone.train_two_phase(pat)
         assert xb.x.tobytes() == alone.x.tobytes()
+    assert all(noise is None or noise._rng is None for noise in models)
     assert together[0].x.tobytes() == a.x.tobytes()
     assert together[0].x.tobytes() != together[-1].x.tobytes()
 
 
-def test_a_bound_noise_model_restarts_in_every_run():
-    """Two identical calls with one bound model give identical traces: each
+def test_identical_calls_give_identical_traces():
+    """Two identical calls with one model give identical traces: each
     crossbar draws from a fresh copy, so the model's generator never carries
     over from one run to the next."""
     cfg = NetworkConfig(n_in=16, n_out=16, connectivity=0.5, activity=0.5, seed=4)
-    m = NoiseModel(sigma=0.25, rng_seed=7)
+    m = NoiseModel(sigma=0.25)
     first, second = (run_lifetime_hw(cfg, 8, noise=m) for _ in range(2))
     assert first.learning.tobytes() == second.learning.tobytes()
     assert first.mean.tobytes() == second.mean.tobytes()
@@ -419,8 +423,10 @@ def test_exact_reductions_hold_for_every_accepted_config(
 
 
 def test_read_voltage_must_stay_subthreshold():
-    with pytest.raises(ValueError):
-        init_crossbar(SMALL, v_read=1.5)
+    # at -0.3 V every decision inverted, and at 0 V no column ever fired
+    for v_read in (1.5, -0.3, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="v_read"):
+            init_crossbar(SMALL, v_read=v_read)
 
 
 def test_half_select_must_stay_subthreshold_on_the_depress_side():

@@ -868,6 +868,14 @@ def test_device_params_validation():
         for bad in (float("inf"), -float("inf"), float("nan")):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 DeviceParams(**{name: bad})
+    # at alpha = 0 the drive was k below threshold too (0 ** 0 == 1)
+    for name in ("alpha_off", "alpha_on"):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^{name} must be > 0"):
+                DeviceParams(**{name: bad})
+    with pytest.raises(ValueError, match="^tau must be >= 0"):
+        DeviceParams(tau=-1.0)
+    assert DeviceParams(tau=0.0).tau == 0.0
     # the window must stay symmetric about x = 0.5: only even powers
     for bad in (1.5, 3.0, 0.0, -2.0):
         with pytest.raises(ValueError, match="p_exp"):

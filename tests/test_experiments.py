@@ -16,7 +16,7 @@ from metasyn.experiments import (
 from metasyn import experiments
 from metasyn.crossbar import run_lifetime_hw
 from metasyn.device import NoiseModel
-from metasyn.network import AccuracyTrace, Model, NetworkConfig, seed_streams
+from metasyn.network import AccuracyTrace, Model, NetworkConfig
 
 BASE = NetworkConfig(n_in=32, n_out=32)
 
@@ -136,7 +136,6 @@ def test_aggregate_shapes():
 
 def test_censored_crossing_stats():
     res = SweepResult(
-        axes=("model",),
         grid=(("m",),),
         mean_at_end=np.array([1.0]),
         learning_at_end=np.array([1.0]),
@@ -152,7 +151,6 @@ def test_censored_crossing_stats():
 def test_result_shape_invariant():
     with pytest.raises(ValueError):
         SweepResult(
-            axes=("model",),
             grid=(("a", "b"),),
             mean_at_end=np.zeros(3),
             learning_at_end=np.zeros(2),
@@ -276,7 +274,7 @@ def test_lockstep_traces_equal_independent_runs(experiment, sigma, rule):
                 replace(cfg, seed=seed),
                 n_patterns=spec.n_patterns,
                 params=spec.params,
-                noise=NoiseModel(sigma=sigma, rng_seed=seed_streams(seed)["noise"]),
+                noise=NoiseModel(sigma=sigma),
             )
             assert trace.learning.tobytes() == alone.learning.tobytes()
             assert trace.mean.tobytes() == alone.mean.tobytes()

@@ -296,7 +296,7 @@ def test_retention_reader_equals_fresh_forward_every_step(cfg):
         assert out.tobytes() == fresh.tobytes(), f"step {t}"
     net = BehavioralNetwork.initialize(cfg)
     scratch = lifetime_loop(
-        lambda pats: net.train_on_pattern(pats[0]),
+        lambda t, pats: net.train_on_pattern(pats[0]),
         lambda k, rows: net.forward_batch(rows),
         [patterns],
     )[0]
