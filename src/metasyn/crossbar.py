@@ -88,13 +88,18 @@ class EventLog:
                 yield (step, phase, *values)
 
 
+def _require_crossbar_model(cfg: NetworkConfig) -> None:
+    if cfg.model is Model.GRADIENT:
+        raise ValueError("the gradient model has no crossbar realization")
+
+
 class Crossbar:
     """Device matrix plus read/program circuitry parameters: the hardware twin
-    of a behavioral network, with its mask, its train stream and one device
-    per crosspoint, connected ones on the plateau of their chain index and
-    pruned ones at x = 0.  Noise is drawn from a copy of the given model on
-    the run's own noise stream, so the model must leave rng_seed unset; the
-    caller's model never draws."""
+    of a binary or multistate behavioral network, with its mask, its train
+    stream and one device per crosspoint, connected ones on the plateau of
+    their chain index and pruned ones at x = 0.  Noise is drawn from a copy
+    of the given model on the run's own noise stream, so the model must
+    leave rng_seed unset; the caller's model never draws."""
 
     def __init__(
         self,
@@ -104,6 +109,7 @@ class Crossbar:
         v_read: float = 0.3,
         noise: NoiseModel | None = None,
     ):
+        _require_crossbar_model(net.cfg)
         if not 0.0 < v_read < params.v_off:
             raise ValueError(f"v_read must lie in (0, v_off = {params.v_off}), got {v_read}")
         self.v_half = abs(table.pulse.amplitude) / 2.0
@@ -244,8 +250,7 @@ def init_crossbar(
     network, so both paths start from identical synapses and draw their q
     gates from the same stream.
     """
-    if cfg.model is Model.GRADIENT:
-        raise ValueError("the gradient model has no crossbar realization")
+    _require_crossbar_model(cfg)  # before the calibration, which costs most
     if params is None:
         params = DeviceParams.default()
     table = calibrate_metastate_table(params, n_levels=cfg.effective_levels, ratio_bounds=None)

@@ -1,14 +1,15 @@
 """Multi-seed experiment orchestration.
 
 One runner takes a list of (label, network config, hardware) cells and runs
-each over the experiment's seeds, with crossing statistics computed per
-seed and then aggregated.  The standard evaluation set only builds cell
+each over the experiment's seeds, split into static shares over the usable
+CPUs, with crossing statistics computed per seed and then aggregated.  The standard evaluation set only builds cell
 lists: side-by-side model comparisons, network-size sweeps, and
 connectivity/activity sweeps.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -148,6 +149,49 @@ def _lockstep_groups(cfgs: list[NetworkConfig]) -> list[list[NetworkConfig]]:
     return groups
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_share(
+    spec: ExperimentSpec, share: list[tuple[bool, NetworkConfig]]
+) -> list[AccuracyTrace]:
+    """The traces of one share's (hardware, config) runs: its behavioral runs
+    one by one, then its hardware runs in lockstep groups, in that order."""
+    noise = NoiseModel(sigma=spec.sigma)
+    hw_cfgs = [cfg for hw, cfg in share if hw]
+    return [run_lifetime(cfg, n_patterns=spec.n_patterns) for hw, cfg in share if not hw] + [
+        trace
+        for group in _lockstep_groups(hw_cfgs)
+        for trace in run_lifetime_hw(
+            group, n_patterns=spec.n_patterns, params=spec.params, noise=noise
+        )
+    ]
+
+
+def _run_shares(spec: ExperimentSpec, shares: list) -> list[list[AccuracyTrace]]:
+    """Each share's traces, in share order.  The calling process runs share 0
+    and a pool of forked workers the others; with one share nothing is
+    forked.  A worker's error is raised here with its own type and message,
+    and the pool joins every worker before this returns or raises."""
+    if len(shares) == 1:
+        return [_run_share(spec, shares[0])]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not forkserver or spawn: those start a server or resource tracker
+    # that can outlive the command.  No metasyn thread runs here: the noise
+    # producer lives and is joined inside one pulse call.
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(shares) - 1, mp_context=fork) as pool:
+        futures = [pool.submit(_run_share, spec, share) for share in shares[1:]]
+        return [_run_share(spec, shares[0])] + [f.result() for f in futures]
+
+
 def run_cells(
     spec: ExperimentSpec,
     cells: list[Cell],
@@ -156,45 +200,50 @@ def run_cells(
 ) -> SweepResult:
     """Run each (label, config, hardware) cell over spec.seeds.
 
-    The hardware (cell, seed) runs go in consecutive lockstep groups whose
-    device state fits _LOCKSTEP_STATE_BYTES, so each programming phase is
-    one pulse call across a group; each run keeps its own streams, so its
-    trace is the one it gives alone.  The cells fill the grid's valid
-    entries in row-major order (every entry when valid is None); the others
-    hold NaN.  Crossings are computed per seed and the end-of-run
-    accuracies averaged over seeds.
+    The (cell, seed) runs are split into w static shares, w the smaller of
+    the usable CPUs and the larger of the behavioral and hardware run
+    counts: share i takes every w-th behavioral and every w-th hardware run
+    from index i.  The caller runs share 0 and forked workers the others
+    (see _run_shares), so a trace sees the caller's share only.  Within a share the hardware runs go in consecutive
+    lockstep groups whose device state fits _LOCKSTEP_STATE_BYTES, so each
+    programming phase is one pulse call across a group.  Every run builds
+    its streams from its own seed, so its trace is the one it gives alone,
+    whatever the share.  The cells fill the grid's valid entries in
+    row-major order (every entry when valid is None); the others hold NaN.
+    Crossings are computed per seed and the end-of-run accuracies averaged
+    over seeds.
     """
+    labels = [label for label, _, _ in cells]
+    repeated = [label for i, label in enumerate(labels) if label in labels[:i]]
+    if repeated:
+        raise ValueError(f"cell labels must not repeat, got {repeated[0]!r} twice")
     shape = tuple(len(g) for g in grid)
     valid = np.ones(shape, dtype=bool) if valid is None else valid
     learn_cells, mean_cells = np.full(shape, np.nan), np.full(shape, np.nan)
-    crossings: dict[str, tuple[int | None, ...]] = {}
-    traces: dict[str, tuple[AccuracyTrace, ...]] = {}
-    runs = [
-        (label, [replace(cfg, seed=s) for s in spec.seeds], hw) for label, cfg, hw in cells
-    ]
-    sw_cfgs = [c for _, cfgs, hw in runs if not hw for c in cfgs]
-    hw_cfgs = [c for _, cfgs, hw in runs if hw for c in cfgs]
-    sw_traces = [run_lifetime(c, n_patterns=spec.n_patterns) for c in sw_cfgs]
-    noise = NoiseModel(sigma=spec.sigma)
-    hw_traces = [
-        trace
-        for group in _lockstep_groups(hw_cfgs)
-        for trace in run_lifetime_hw(
-            group, n_patterns=spec.n_patterns, params=spec.params, noise=noise
-        )
-    ]
-    done = {False: iter(sw_traces), True: iter(hw_traces)}
-    ends = []
-    for label, cfgs, hw in runs:
-        cell_traces = tuple(next(done[hw]) for _ in cfgs)
-        crossings[label] = tuple(
-            threshold_crossing(t, spec.mean_threshold) for t in cell_traces
-        )
-        traces[label] = cell_traces
-        learn = np.mean([t.learning[-1] for t in cell_traces])
-        ends.append((learn, np.mean([t.mean[-1] for t in cell_traces])))
-    if ends:
-        learn_cells[valid], mean_cells[valid] = np.array(ends).T
+    runs = [(hw, replace(cfg, seed=s)) for _, cfg, hw in cells for s in spec.seeds]
+    sw_runs = [k for k, (hw, _) in enumerate(runs) if not hw]
+    hw_runs = [k for k, (hw, _) in enumerate(runs) if hw]
+    w = max(1, min(_usable_cpus(), max(len(sw_runs), len(hw_runs))))
+    shares = [sw_runs[i::w] + hw_runs[i::w] for i in range(w)]
+    ordered = [None] * len(runs)
+    for share, share_traces in zip(
+        shares, _run_shares(spec, [[runs[k] for k in idx] for idx in shares])
+    ):
+        for k, trace in zip(share, share_traces, strict=True):
+            ordered[k] = trace
+    n = len(spec.seeds)
+    traces = {label: tuple(ordered[j * n:(j + 1) * n]) for j, label in enumerate(labels)}
+    crossings = {
+        label: tuple(threshold_crossing(t, spec.mean_threshold) for t in cell_traces)
+        for label, cell_traces in traces.items()
+    }
+    if cells:
+        learn_cells[valid], mean_cells[valid] = np.array(
+            [
+                (np.mean([t.learning[-1] for t in ts]), np.mean([t.mean[-1] for t in ts]))
+                for ts in traces.values()
+            ]
+        ).T
     return SweepResult(
         grid=grid, mean_at_end=mean_cells, learning_at_end=learn_cells, valid=valid,
         crossings=crossings, traces=traces, n_patterns=spec.n_patterns,
@@ -242,6 +291,13 @@ def _cf_cell(base: NetworkConfig, c: float, f: float) -> NetworkConfig | None:
         return None
 
 
+def _grid_label(v: float) -> str:
+    """v as :g writes it where that reads back as v, else its repr, so two
+    distinct grid values never share a label."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(float(v))
+
+
 def sweep_cf(spec: ExperimentSpec) -> SweepResult:
     """Grid of end-of-run accuracies over (connectivity, activity); cells
     whose config NetworkConfig rejects (no active bit or no synapse) stay
@@ -251,7 +307,7 @@ def sweep_cf(spec: ExperimentSpec) -> SweepResult:
     cfgs = [_cf_cell(spec.base, c, f) for c, f in points]
     valid = np.array([cfg is not None for cfg in cfgs])
     cells = [
-        (f"C{c:g}_f{f:g}", cfg, spec.hardware)
+        (f"C{_grid_label(c)}_f{_grid_label(f)}", cfg, spec.hardware)
         for (c, f), cfg in zip(points, cfgs)
         if cfg is not None
     ]

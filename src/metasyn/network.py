@@ -11,6 +11,7 @@ step that does so is shared with the crossbar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -62,8 +63,10 @@ class NetworkConfig:
             raise ValueError("q must lie in (0, 1]")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.learning_rate > 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.n_ones_in < 1:
             raise ValueError("activity too low: input patterns would have no active bits")
         if _round_half_up(self.activity * self.n_out) < 1:

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import hashlib
 import importlib
+import multiprocessing
 import os
 import re
 import subprocess
@@ -174,6 +175,7 @@ def test_every_key_range_checked(key):
     "build",
     [
         lambda: NetworkConfig(learning_rate=-0.1),
+        lambda: NetworkConfig(learning_rate=float("inf")),
         lambda: NetworkConfig(seed=-1),
         lambda: DeviceParams(alpha_off=-1.0),
         lambda: DeviceParams(alpha_off=0.0),
@@ -193,7 +195,7 @@ def test_every_key_range_checked(key):
         lambda: ExperimentSpec(f_grid=(0.25, 0.5, 0.25)),
     ],
     ids=[
-        "learning_rate", "seed", "alpha_off", "alpha_off_zero", "alpha_on_zero", "tau",
+        "learning_rate", "learning_rate_inf", "seed", "alpha_off", "alpha_off_zero", "alpha_on_zero", "tau",
         "c_grid", "f_nan", "sigma_nan", "sigma_inf", "noise_sigma_inf", "g_on_inf",
         "k_off_inf", "tau_inf",
         "seeds_repeat", "size_grid_repeat", "c_grid_repeat", "f_grid_repeat",
@@ -206,11 +208,13 @@ def test_library_rejects_what_the_cli_rejects(build):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("sigma", "inf"), ("g_on", "inf"), ("k_off", "inf"), ("k_on", "-inf"), ("tau", "inf")],
+    [("sigma", "inf"), ("g_on", "inf"), ("k_off", "inf"), ("k_on", "-inf"), ("tau", "inf"),
+     ("learning_rate", "inf")],
 )
 def test_infinite_value_rejected_at_its_line(key, value):
     # sigma = inf used to parse and then give NaN states; infinite k_off, k_on
-    # or tau surfaced only later, as a misleading calibration error
+    # or tau surfaced only later, as a misleading calibration error; an
+    # infinite learning_rate jumped every gradient step's weight to 0 or 1
     with pytest.raises(ConfigError, match=rf"^line 2: '{key}' rejected: .*finite"):
         parse_config(f"n_in = 32\n{key} = {value}\n")
 
@@ -315,6 +319,8 @@ EXPECTED_CALLS = {
 @pytest.mark.parametrize("cmd", sorted(EXPECTED_CALLS))
 def test_every_key_reaches_the_run(tmp_path, monkeypatch, cmd):
     monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
+    # one share: every run goes through this process, where the spies are
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     calls = []
 
     def recorder(kind):
@@ -384,6 +390,51 @@ def test_run_writes_traces_and_summary(tmp_path, monkeypatch):
     summary = read_csv(tmp_path / "out" / "summary.csv")
     assert summary[0] == ["model", "crossing_mean", "crossing_std", "ratio_vs_binary"]
     assert (tmp_path / "out" / "accuracy.svg").exists()
+
+
+@pytest.mark.parametrize("cmd", ["compare", "sweep-cf"])
+def test_outputs_do_not_depend_on_the_share_count(tmp_path, monkeypatch, cmd):
+    monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
+    outputs = []
+    for shares in (1, 2, 3):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: shares)
+        out = tmp_path / str(shares)
+        cfg = parse_config(TINY + f"seeds = 0, 1, 2\nout_dir = {out}\n")
+        assert execute(cmd, cfg) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_a_failed_share_worker_fails_the_command(tmp_path, monkeypatch, capsys):
+    """Seed 1's behavioral runs go to the worker, whose error ends the
+    command with status 1 and its own message; no output is written."""
+    monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
+    real = experiments.run_lifetime
+
+    def run(cfg, **kwargs):
+        if cfg.seed == 1:
+            raise ValueError("seed 1 cannot run")
+        return real(cfg, **kwargs)
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "run_lifetime", run)
+    cfgfile = tmp_path / "two_seeds.cfg"
+    cfgfile.write_text(TINY + f"seeds = 0, 1\nout_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    assert main(["compare", str(cfgfile)]) == 1
+    assert "error: seed 1 cannot run" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "traces.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_dump_trace_forks_nothing(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("dump-trace forked")
+
+    monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = parse_config(f"n_in = 5\nn_out = 3\nn_patterns = 2\nout_dir = {tmp_path}\n")
+    assert execute("dump-trace", cfg) == 0
 
 
 def test_rerun_is_byte_identical(tmp_path, monkeypatch):
@@ -641,11 +692,15 @@ def test_main_runs_with_config(tmp_path, capsys, monkeypatch):
 def test_importing_the_cli_loads_no_executor():
     """Every command pays its imports.  concurrent.futures would bring in
     logging, about 11 ms, for a producer thread that threading and queue
-    serve."""
+    serve; multiprocessing is imported only by an experiment with more than
+    one share."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, metasyn.cli; print('concurrent.futures' in sys.modules)"
+    code = (
+        "import sys, metasyn.cli; "
+        "print([m in sys.modules for m in ('concurrent.futures', 'multiprocessing')])"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False]"

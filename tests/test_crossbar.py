@@ -25,7 +25,14 @@ from metasyn.device import (
     calibrate_metastate_table,
     conductance,
 )
-from metasyn.network import Model, NetworkConfig, make_pattern_set, run_lifetime, seed_streams
+from metasyn.network import (
+    BehavioralNetwork,
+    Model,
+    NetworkConfig,
+    make_pattern_set,
+    run_lifetime,
+    seed_streams,
+)
 from metasyn.synapse import Efficacy, MetaState, UpdateDirection, chain_state, transition
 
 SMALL = NetworkConfig(n_in=5, n_out=3, connectivity=0.6, activity=0.5, seed=9)
@@ -105,8 +112,6 @@ def test_comparator_config_validation():
 
 
 def test_initial_state_mirrors_behavioral():
-    from metasyn.network import BehavioralNetwork
-
     cfg = NetworkConfig(n_in=16, n_out=16, seed=4)
     xb = init_crossbar(cfg, noise=NoiseModel.off())
     net = BehavioralNetwork.initialize(cfg)
@@ -123,9 +128,20 @@ def test_pruned_devices_start_at_zero(xb_small):
     assert np.all(xb_small.x[~xb_small.mask] == 0.0)
 
 
-def test_gradient_model_rejected():
-    with pytest.raises(ValueError):
-        init_crossbar(NetworkConfig(model=Model.GRADIENT))
+def test_gradient_model_rejected(xb_small, monkeypatch):
+    """A gradient network has no crossbar twin: Crossbar rejects it (it used
+    to build one with every connected device at one plateau), and
+    init_crossbar rejects it before calibrating."""
+    gradient = NetworkConfig(n_in=16, n_out=16, model=Model.GRADIENT)
+    with pytest.raises(ValueError, match="no crossbar realization"):
+        Crossbar(BehavioralNetwork.initialize(gradient), xb_small.params, xb_small.table)
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated for a gradient network")
+
+    monkeypatch.setattr(crossbar, "calibrate_metastate_table", no_calibration)
+    with pytest.raises(ValueError, match="no crossbar realization"):
+        init_crossbar(gradient)
 
 
 # ---- programming protection ---------------------------------------------------------

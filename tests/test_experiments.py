@@ -1,5 +1,7 @@
 """Experiment harness tests: crossing statistics, sweep assembly, determinism."""
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -281,9 +283,11 @@ def test_lockstep_traces_equal_independent_runs(experiment, sigma, rule):
 
 
 def test_lockstep_groups_fit_the_budget(monkeypatch):
-    """With a smaller device-state budget run_cells splits the hardware runs
-    into consecutive groups; no group exceeds the budget and every trace is
-    byte-identical to the single-group run."""
+    """With a smaller device-state budget run_cells splits each share's
+    hardware runs into consecutive groups; no group exceeds the budget and
+    every trace is byte-identical to the single-group run.  The spy sees
+    the calling process only, which runs share 0: runs 0, w, 2w, ... of
+    16, 16, 16, 24, 24, 24 (2,048 bytes of device state at 16, 4,608 at 24)."""
     spec = ExperimentSpec(
         base=LOCKSTEP_BASE, seeds=(0, 1, 2), n_patterns=8, hardware=True, size_grid=(16, 24)
     )
@@ -297,13 +301,16 @@ def test_lockstep_groups_fit_the_budget(monkeypatch):
 
     monkeypatch.setattr(experiments, "_LOCKSTEP_STATE_BYTES", budget)
     monkeypatch.setattr(experiments, "run_lifetime_hw", spy)
-    split = sweep_size(spec)
-    assert [len(g) for g in groups] == [3, 2, 1]
-    assert all(sum(g) <= budget for g in groups)
-    for label, traces in whole.traces.items():
-        for a, b in zip(traces, split.traces[label], strict=True):
-            assert a.learning.tobytes() == b.learning.tobytes()
-            assert a.mean.tobytes() == b.mean.tobytes()
+    for shares, caller_groups in ((1, [3, 2, 1]), (2, [3]), (3, [2])):
+        groups.clear()
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: shares)
+        split = sweep_size(spec)
+        assert [len(g) for g in groups] == caller_groups
+        assert all(sum(g) <= budget for g in groups)
+        for label, traces in whole.traces.items():
+            for a, b in zip(traces, split.traces[label], strict=True):
+                assert a.learning.tobytes() == b.learning.tobytes()
+                assert a.mean.tobytes() == b.mean.tobytes()
 
 
 def test_lockstep_groups_keep_benchmark_runs_together():
@@ -314,3 +321,147 @@ def test_lockstep_groups_keep_benchmark_runs_together():
     assert len(group([NetworkConfig(n_in=512, n_out=512)])) == 1
     big = NetworkConfig(n_in=1024, n_out=1024)
     assert group([big, big, NetworkConfig()]) == [[big], [big], [NetworkConfig()]]
+
+
+# ---- shares over the usable CPUs ---------------------------------------------------
+
+SHARED_EXPERIMENTS = {
+    # 9 behavioral and 6 hardware runs
+    "hw_compare": lambda: run_comparison(
+        ExperimentSpec(base=LOCKSTEP_BASE, seeds=(0, 1, 2), n_patterns=6, hardware=True)
+    ),
+    # hardware only, two sizes in the shares' lockstep groups
+    "hw_sweep_size": lambda: sweep_size(
+        ExperimentSpec(
+            base=LOCKSTEP_BASE, seeds=(0, 1, 2), n_patterns=6, hardware=True,
+            size_grid=(16, 24),
+        )
+    ),
+    # f = 0.01 rounds to no active bit on 16 inputs: two invalid cells
+    "sweep_cf_invalid_cell": lambda: sweep_cf(
+        ExperimentSpec(
+            base=NetworkConfig(n_in=16, n_out=16), seeds=(0, 1, 2), n_patterns=6,
+            c_grid=(0.25, 0.5), f_grid=(0.01, 0.5),
+        )
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def one_share():
+    """Each shared experiment's result with one share, run in this process."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_usable_cpus", lambda: 1)
+        return {name: run() for name, run in SHARED_EXPERIMENTS.items()}
+
+
+def assert_same_result(a: SweepResult, b: SweepResult) -> None:
+    assert a.grid == b.grid
+    assert list(a.traces) == list(b.traces)  # labels, in order
+    for label, traces in a.traces.items():
+        for x, y in zip(traces, b.traces[label], strict=True):
+            assert x.learning.tobytes() == y.learning.tobytes()
+            assert x.mean.tobytes() == y.mean.tobytes()
+    assert a.crossings == b.crossings
+    for name in ("mean_at_end", "learning_at_end", "valid"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.ratio_vs_binary == b.ratio_vs_binary
+
+
+@pytest.mark.parametrize("shares", [2, 3])
+@pytest.mark.parametrize("name", sorted(SHARED_EXPERIMENTS))
+def test_shared_runs_equal_the_one_share_run(one_share, monkeypatch, name, shares):
+    """Split over 2 or 3 shares, an experiment gives the one-share result
+    byte for byte, the caller runs only its own share, and no worker is
+    left behind."""
+    caller_runs = []
+
+    def count(run):
+        def counted(cfg, **kwargs):
+            caller_runs.extend([cfg] if isinstance(cfg, NetworkConfig) else cfg)
+            return run(cfg, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: shares)
+    monkeypatch.setattr(experiments, "run_lifetime", count(experiments.run_lifetime))
+    monkeypatch.setattr(experiments, "run_lifetime_hw", count(experiments.run_lifetime_hw))
+    pooled = SHARED_EXPERIMENTS[name]()
+    assert_same_result(pooled, one_share[name])
+    all_runs = sum(len(t) for t in one_share[name].traces.values())
+    assert 0 < len(caller_runs) < all_runs
+    assert multiprocessing.active_children() == []
+
+
+class ShareFailure(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("failing_seed", [0, 1], ids=["caller", "worker"])
+def test_a_share_error_reaches_the_caller(monkeypatch, failing_seed):
+    """Seed 0 runs in the calling process and seed 1 in the worker; either
+    error is raised with its own type and message, and no worker is left."""
+    real = experiments.run_lifetime
+
+    def run(cfg, **kwargs):
+        if cfg.seed == failing_seed:
+            raise ShareFailure(f"seed {cfg.seed} failed")
+        return real(cfg, **kwargs)
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "run_lifetime", run)
+    spec = ExperimentSpec(base=NetworkConfig(n_in=16, n_out=16), seeds=(0, 1), n_patterns=4)
+    with pytest.raises(ShareFailure, match=f"^seed {failing_seed} failed$"):
+        run_comparison(spec, models=(Model.BINARY,))
+    assert multiprocessing.active_children() == []
+
+
+def test_one_run_of_each_kind_forks_nothing(monkeypatch):
+    """The hw_dense shape, one behavioral and one hardware run, has nothing
+    to overlap: it stays in the calling process however many CPUs there are."""
+
+    def no_fork():
+        raise AssertionError("a one-share experiment forked")
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    spec = ExperimentSpec(
+        base=replace(LOCKSTEP_BASE, model=Model.MULTISTATE), seeds=(0,), n_patterns=4,
+        hardware=True,
+    )
+    result = run_comparison(spec, models=(Model.MULTISTATE,))
+    assert list(result.traces) == ["multistate", "hw_multistate"]
+
+
+def test_usable_cpus_is_the_affinity_set():
+    expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert experiments._usable_cpus() == expected >= 1
+
+
+# ---- cell labels ----------------------------------------------------------------------
+
+
+def test_close_cf_grid_values_keep_distinct_labels():
+    """0.5 and 0.5000001 both print as 0.5 under :g; the second used to
+    overwrite the first's traces and crossings."""
+    spec = ExperimentSpec(
+        base=NetworkConfig(n_in=16, n_out=16), seeds=(0,), n_patterns=4,
+        c_grid=(0.5, 0.5000001), f_grid=(0.5,),
+    )
+    result = sweep_cf(spec)
+    assert list(result.traces) == ["C0.5_f0.5", "C0.5000001_f0.5"]
+    assert list(result.crossings) == list(result.traces)
+
+
+def test_default_cf_labels_are_unchanged():
+    spec = ExperimentSpec()
+    for v in (*spec.c_grid, *spec.f_grid, 1.0, 1e-05, 0.333):
+        assert experiments._grid_label(v) == f"{v:g}"
+
+
+def test_run_cells_rejects_a_repeated_label():
+    """A repeated model gives a repeated label, whose second cell used to
+    overwrite the first's traces and crossings."""
+    spec = ExperimentSpec(base=BASE, seeds=(0,), n_patterns=2)
+    with pytest.raises(ValueError, match="'binary' twice"):
+        run_comparison(spec, models=(Model.BINARY, Model.MULTISTATE, Model.BINARY))
