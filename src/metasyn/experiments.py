@@ -2,9 +2,9 @@
 
 One runner takes a list of (label, network config, hardware) cells and runs
 each over the experiment's seeds, split into static shares over the usable
-CPUs, with crossing statistics computed per seed and then aggregated.  The standard evaluation set only builds cell
-lists: side-by-side model comparisons, network-size sweeps, and
-connectivity/activity sweeps.
+CPUs, with crossing statistics computed per seed and then aggregated.  The
+standard evaluation set only builds cell lists: side-by-side model
+comparisons, network-size sweeps, and connectivity/activity sweeps.
 """
 
 from __future__ import annotations
@@ -204,9 +204,10 @@ def run_cells(
     the usable CPUs and the larger of the behavioral and hardware run
     counts: share i takes every w-th behavioral and every w-th hardware run
     from index i.  The caller runs share 0 and forked workers the others
-    (see _run_shares), so a trace sees the caller's share only.  Within a share the hardware runs go in consecutive
-    lockstep groups whose device state fits _LOCKSTEP_STATE_BYTES, so each
-    programming phase is one pulse call across a group.  Every run builds
+    (see _run_shares), so a trace sees the caller's share only.  Within a
+    share the hardware runs go in consecutive lockstep groups whose device
+    state fits _LOCKSTEP_STATE_BYTES, so each programming phase is one
+    pulse call across a group.  Every run builds
     its streams from its own seed, so its trace is the one it gives alone,
     whatever the share.  The cells fill the grid's valid entries in
     row-major order (every entry when valid is None); the others hold NaN.

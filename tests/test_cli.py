@@ -195,7 +195,8 @@ def test_every_key_range_checked(key):
         lambda: ExperimentSpec(f_grid=(0.25, 0.5, 0.25)),
     ],
     ids=[
-        "learning_rate", "learning_rate_inf", "seed", "alpha_off", "alpha_off_zero", "alpha_on_zero", "tau",
+        "learning_rate", "learning_rate_inf", "seed", "alpha_off", "alpha_off_zero",
+        "alpha_on_zero", "tau",
         "c_grid", "f_nan", "sigma_nan", "sigma_inf", "noise_sigma_inf", "g_on_inf",
         "k_off_inf", "tau_inf",
         "seeds_repeat", "size_grid_repeat", "c_grid_repeat", "f_grid_repeat",
@@ -692,8 +693,8 @@ def test_main_runs_with_config(tmp_path, capsys, monkeypatch):
 def test_importing_the_cli_loads_no_executor():
     """Every command pays its imports.  concurrent.futures would bring in
     logging, about 11 ms, for a producer thread that threading and queue
-    serve; multiprocessing is imported only by an experiment with more than
-    one share."""
+    serve; it and multiprocessing are imported only by an experiment that
+    runs more than one share."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
