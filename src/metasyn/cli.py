@@ -33,6 +33,7 @@ from .device import (
 from .experiments import (
     ExperimentSpec,
     SweepResult,
+    _grid_label,
     run_comparison,
     sweep_cf,
     sweep_size,
@@ -366,12 +367,12 @@ def svg_heatmap(
     for i, r in enumerate(rows):
         lines.append(
             f'<text x="{x0 - 6}" y="{y0 - (i + 0.5) * ch + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{r:g}</text>'
+            f'font-family="sans-serif" font-size="11">{_grid_label(r)}</text>'
         )
     for j, c in enumerate(cols):
         lines.append(
             f'<text x="{x0 + (j + 0.5) * cw:.2f}" y="{y0 + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{c:g}</text>'
+            f'font-family="sans-serif" font-size="11">{_grid_label(c)}</text>'
         )
     lines.append("</svg>")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

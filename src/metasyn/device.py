@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .synapse import MetaState, UpdateDirection, chain_index, chain_state
+from .synapse import MetaState, UpdateDirection, _clamp_unit, chain_index, chain_state
 
 # Pulse rate constants (k_off = -k_on) for the default pulse shape (1.2 V,
 # 15 us, 0.1 us steps) and window (tau = 2.0, p = 2).  The default value
@@ -203,7 +203,7 @@ def window(x, params: DeviceParams):
 
 # As ufunc operands, 0-d arrays cost numpy less per call than Python floats
 # of the same value, and give the same bits.
-_ZERO, _HALF, _ONE, _FOUR, _CENTRE = (np.array(v) for v in (0.0, 0.5, 1.0, 4.0, _WINDOW_CENTRE))
+_HALF, _ONE, _FOUR, _CENTRE = (np.array(v) for v in (0.5, 1.0, 4.0, _WINDOW_CENTRE))
 
 
 def _window_into(x, neg_tau, p_exp, square, out, shifted, tmp):
@@ -242,12 +242,6 @@ def _drive(v, params: DeviceParams):
     up = params.k_off * np.maximum(va / params.v_off - 1.0, 0.0) ** params.alpha_off
     down = params.k_on * np.maximum(va / params.v_on - 1.0, 0.0) ** params.alpha_on
     return up + down
-
-
-def _clamp_unit(v):
-    """np.clip(v, 0.0, 1.0) in place, bit for bit, -0.0 and NaN included, at
-    about half its call cost; the argument order of the maximum keeps -0.0."""
-    return np.minimum(np.maximum(_ZERO, v, out=v), _ONE, out=v)
 
 
 def integrate_pulse(

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import crossbar
 from .crossbar import run_lifetime_hw
 from .device import DeviceParams, NoiseModel
 from .network import AccuracyTrace, Model, NetworkConfig, run_lifetime
@@ -177,9 +178,17 @@ def _run_shares(spec: ExperimentSpec, shares: list) -> list[list[AccuracyTrace]]
     """Each share's traces, in share order.  The calling process runs share 0
     and a pool of forked workers the others; with one share nothing is
     forked.  A worker's error is raised here with its own type and message,
-    and the pool joins every worker before this returns or raises."""
+    and the pool joins every worker before this returns or raises.
+
+    Before the fork, the caller calibrates the metastate table of every
+    level count its hardware runs use, so the workers inherit the tables
+    from the per-process memo instead of calibrating again, and a
+    calibration error is raised before any worker starts."""
     if len(shares) == 1:
         return [_run_share(spec, shares[0])]
+    for n_levels in sorted({cfg.effective_levels for share in shares for hw, cfg in share if hw}):
+        # the crossbar module's name, the one init_crossbar calls
+        crossbar.calibrate_metastate_table(spec.params, n_levels=n_levels, ratio_bounds=None)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -276,11 +285,15 @@ def run_comparison(spec: ExperimentSpec, models: tuple[Model, ...] = tuple(Model
 
 
 def sweep_size(spec: ExperimentSpec) -> SweepResult:
-    """Run the base model on square N x N networks across the size grid."""
-    cells = [
-        (str(n), replace(spec.base, n_in=n, n_out=n), spec.hardware)
-        for n in spec.size_grid
-    ]
+    """Run the base model on square N x N networks across the size grid.
+    A size the base model cannot be built at is rejected, by name, before
+    any run."""
+    cells = []
+    for n in spec.size_grid:
+        try:
+            cells.append((str(n), replace(spec.base, n_in=n, n_out=n), spec.hardware))
+        except ValueError as exc:
+            raise ValueError(f"size_grid entry {n} gives no network: {exc}") from None
     return run_cells(spec, cells, (tuple(spec.size_grid),))
 
 

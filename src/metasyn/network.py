@@ -11,6 +11,7 @@ step that does so is shared with the crossbar.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -129,20 +130,43 @@ def generate_patterns(
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _pattern_arrays(
+    n_in: int, n_out: int, activity: float, seed: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked inputs and targets of one pattern set, generated once per
+    process.  They are read-only because every caller shares them; a
+    128 x 128 set of 300 patterns holds 77 kB."""
+    in_ss, tgt_ss = seed_streams(seed)["patterns"].spawn(2)
+    inputs = generate_patterns(n_in, activity, count, in_ss)
+    targets = generate_patterns(n_out, activity, count, tgt_ss)
+    inputs.flags.writeable = targets.flags.writeable = False
+    return inputs, targets
+
+
 def make_pattern_set(cfg: NetworkConfig, count: int) -> list[Pattern]:
-    """The run's input/target pairs, derived deterministically from cfg.seed."""
+    """The run's input/target pairs, derived deterministically from cfg.seed.
+
+    The model does not enter, so the runs of every model on one seed share
+    one set: it is memoized per process on (n_in, n_out, activity, seed,
+    count), and each call returns a fresh list of read-only pattern rows.
+    """
     if count < 1:
         raise ValueError(f"n_patterns must be >= 1, got {count}")
-    in_ss, tgt_ss = seed_streams(cfg.seed)["patterns"].spawn(2)
-    inputs = generate_patterns(cfg.n_in, cfg.activity, count, in_ss)
-    targets = generate_patterns(cfg.n_out, cfg.activity, count, tgt_ss)
+    inputs, targets = _pattern_arrays(cfg.n_in, cfg.n_out, cfg.activity, cfg.seed, count)
     return [Pattern(i, t) for i, t in zip(inputs, targets)]
 
 
 @dataclass(eq=False)
 class BehavioralNetwork:
     """State arrays plus the update rules for one model variant: the chain
-    index of every synapse, or the analog weights of the gradient model."""
+    index of every synapse, or the analog weights of the gradient model.
+
+    Pruned synapses (mask False) start at chain index n - 1, on the low
+    side (weight 0 for the gradient model), and never move, since every
+    selection of the correction step is masked.  So their efficacy is low
+    without a look at the mask, and the reads leave it out.
+    """
 
     cfg: NetworkConfig
     mask: np.ndarray
@@ -171,37 +195,51 @@ class BehavioralNetwork:
 
     def efficacy_matrix(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
         """0/1 efficacy of every synapse, or of the given input rows only."""
+        return self._high(rows).astype(np.float64)
+
+    def _high(self, rows: np.ndarray | slice) -> np.ndarray:
         if self.cfg.model is Model.GRADIENT:
-            high = self.weights[rows] > 0.5
-        else:
-            high = self.state[rows] >= self.cfg.effective_levels
-        return (self.mask[rows] & high).astype(np.float64)
+            return self.weights[rows] > 0.5
+        return self.state[rows] >= self.cfg.effective_levels
 
     def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
         """Threshold response for a batch of 0/1 input bit vectors, read on
-        the rows with a set bit; a drive exactly at theta does not fire."""
+        the rows with a set bit; a drive exactly at theta does not fire.
+        A batch of one row is the column sum of those rows' efficacy."""
         rows = np.flatnonzero(inputs.any(axis=0))
-        votes = inputs[:, rows].astype(np.float64) @ self.efficacy_matrix(rows)
+        if len(inputs) == 1:
+            votes = self._high(rows).sum(axis=0, keepdims=True)
+        else:
+            votes = inputs[:, rows].astype(np.float64) @ self.efficacy_matrix(rows)
         return (votes > self.cfg.theta).astype(np.uint8)
 
     def retention_reader(self, inputs: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
         """The lifetime loop's read of inputs[:t + 1] after training on
         pattern t, for t = 0, 1, ... in turn.  Training changes synapses only
         on pattern t's active rows A_t, so earlier votes move by
-        X[:t, A_t] @ (after - before) on those rows; votes are integer counts,
-        which float64 sums exactly, so every output equals forward_batch's."""
-        x = inputs.astype(np.float64)
+        X[:t, A_t] @ (after - before) on those rows, read from the transposed
+        inputs so the rows A_t are contiguous.
+
+        Votes and every partial sum of that product are integers within
+        +-n_ones_in, which float32 holds exactly below 2**24 (float64 beyond),
+        so every output equals forward_batch's.  An integer vote exceeds
+        theta exactly when it exceeds floor(theta), which, unlike theta,
+        float32 holds exactly."""
+        dtype = np.float32 if self.cfg.n_ones_in < 2**24 else np.float64
+        xt = inputs.T.astype(dtype)
         actives = [np.flatnonzero(row) for row in inputs]
-        votes = np.zeros((len(inputs), self.cfg.n_out))
-        before = self.efficacy_matrix()  # as of the previous read
+        votes = np.zeros((len(inputs), self.cfg.n_out), dtype)
+        before = self._high(slice(None)).astype(dtype)  # as of the previous read
+        theta = math.floor(self.cfg.theta)
 
         def read(k: int, rows: np.ndarray) -> np.ndarray:
             t = len(rows) - 1
-            after = self.efficacy_matrix(actives[t])
-            votes[:t] += x[:t, actives[t]] @ (after - before[actives[t]])
+            a = actives[t]
+            after = self._high(a).astype(dtype)
+            votes[:t] += xt[a, :t].T @ (after - before[a])
             votes[t] = after.sum(axis=0)
-            before[actives[t]] = after
-            return (votes[: t + 1] > self.cfg.theta).astype(np.uint8)
+            before[a] = after
+            return (votes[: t + 1] > theta).view(np.uint8)
 
         return read
 
@@ -289,9 +327,12 @@ def lifetime_loop(
         net_step(t, [patterns[t] for patterns in pattern_sets])
         for k, trace in enumerate(traces):
             outputs = infer_batch(k, inputs[k][: t + 1])
-            acc = (outputs == targets[k][: t + 1]).mean(axis=1)
+            # the same bits as the two np.mean calls: a count is exact in
+            # float64, so it takes the one rounding of mean(axis=1), and
+            # acc.sum() is np.mean's own pairwise sum before its division
+            acc = np.count_nonzero(outputs == targets[k][: t + 1], axis=1) / outputs.shape[1]
             trace.learning[t] = acc[t]
-            trace.mean[t] = acc.mean()
+            trace.mean[t] = acc.sum() / (t + 1)
     return traces
 
 

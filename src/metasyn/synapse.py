@@ -100,13 +100,14 @@ def transition_arrays(
     chain indices.
 
     On the chain index a step is a saturating +1 (potentiate) or -1
-    (depress); only entries where ``select`` is True move.  The clip comes
-    before the step, so the widest chain's top index cannot wrap.
+    (depress); only entries where ``select`` is True move, and an entry at
+    the end it steps toward stays there, so the widest chain's top index
+    cannot wrap.
     """
     if direction is UpdateDirection.POTENTIATE:
-        np.add(np.minimum(state, 2 * n_levels - 2), 1, out=state, where=select)
+        np.add(state, 1, out=state, where=select & (state < 2 * n_levels - 1))
     else:
-        np.subtract(np.maximum(state, 1), 1, out=state, where=select)
+        np.subtract(state, 1, out=state, where=select & (state > 0))
 
 
 def gradient_step(
@@ -118,4 +119,17 @@ def gradient_step(
     """One clipped gradient step in place: w += lr * x * e on the selected
     weights (active input x = 1, output error e = direction), clamped to
     [0, 1]."""
-    weights[select] = np.clip(weights[select] + direction.value * learning_rate, 0.0, 1.0)
+    stepped = weights[select]
+    stepped += direction.value * learning_rate
+    weights[select] = _clamp_unit(stepped)
+
+
+# As ufunc operands, 0-d arrays cost numpy less per call than Python floats
+# of the same value, and give the same bits.
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
+
+
+def _clamp_unit(v):
+    """np.clip(v, 0.0, 1.0) in place, bit for bit, -0.0 and NaN included, at
+    about half its call cost; the argument order of the maximum keeps -0.0."""
+    return np.minimum(np.maximum(_ZERO, v, out=v), _ONE, out=v)

@@ -618,6 +618,26 @@ def test_hardware_compare_honours_device_and_noise_keys(tmp_path, monkeypatch, e
     assert keep(changed) == keep(default)
 
 
+def test_heatmap_labels_follow_the_cell_labels(tmp_path):
+    """0.5 and 0.5000001 both print as 0.5 under :g; the axis labels use the
+    rule of the CSV's cell labels."""
+    path = tmp_path / "heat.svg"
+    cli.svg_heatmap(path, np.full((2, 2), 0.5), (0.5, 0.5000001), (0.25, 0.2500001), "t")
+    text = path.read_text(encoding="utf-8")
+    for label in ("0.5", "0.5000001", "0.25", "0.2500001"):
+        assert text.count(f">{label}</text>") == 1
+
+
+def test_default_grid_heatmap_bytes(tmp_path):
+    spec = ExperimentSpec()
+    grid = np.linspace(0.0, 1.0, 25).reshape(5, 5)
+    grid[0, 0] = np.nan
+    path = tmp_path / "heat.svg"
+    cli.svg_heatmap(path, grid, spec.c_grid, spec.f_grid, "mean accuracy")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "546adda496c714d59c2bdb96a364907762a97341d985ead18c6c352dc0ba3034"
+
+
 # ---- entry point ----------------------------------------------------------------------
 
 
@@ -632,6 +652,17 @@ def test_main_errors_on_bad_config(tmp_path, capsys):
     assert main(["run", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "connectivity" in err
+
+
+def test_main_names_a_size_grid_entry_it_cannot_build(tmp_path, capsys):
+    cfgfile = tmp_path / "sizes.cfg"
+    cfgfile.write_text(
+        TINY + f"size_grid = 1, 8\nout_dir = {tmp_path / 'out'}\n", encoding="utf-8"
+    )
+    assert main(["sweep-size", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert "error: size_grid entry 1 gives no network: activity too low" in err
+    assert not (tmp_path / "out" / "size_grid.csv").exists()
 
 
 def test_main_rejects_gradient_hardware_run(tmp_path, capsys):

@@ -471,3 +471,24 @@ def test_leakage_grows_with_connectivity_at_fixed_states():
         inp[:32] = 1
         leaks.append(float(xb.column_currents_batch(inp[None])[0].sum()))
     assert leaks[0] < leaks[1] < leaks[2]
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel.off()], ids=["noise", "noise-off"])
+@pytest.mark.parametrize("n_out", [100, 45])
+def test_hardware_accuracy_equals_the_mean_formula(n_out, noise):
+    """The lifetime loop's accuracy from counts gives the bits of the two
+    np.mean calls on the hardware path too, at widths that are not powers
+    of two."""
+    cfg = NetworkConfig(n_in=32, n_out=n_out, connectivity=0.5, seed=4)
+    patterns = make_pattern_set(cfg, 30)
+    inputs = np.stack([p.input_bits for p in patterns])
+    targets = np.stack([p.target_bits for p in patterns])
+    xb = init_crossbar(cfg, noise=noise)
+    learning, mean = np.empty(30), np.empty(30)
+    for t, pat in enumerate(patterns):
+        xb.train_two_phase(pat, step=t)
+        acc = (xb.infer_batch(inputs[: t + 1]) == targets[: t + 1]).mean(axis=1)
+        learning[t], mean[t] = acc[t], acc.mean()
+    trace = run_lifetime_hw(cfg, 30, noise=noise)
+    assert trace.learning.tobytes() == learning.tobytes()
+    assert trace.mean.tobytes() == mean.tobytes()

@@ -15,9 +15,9 @@ from metasyn.experiments import (
     sweep_size,
     threshold_crossing,
 )
-from metasyn import experiments
+from metasyn import device, experiments
 from metasyn.crossbar import run_lifetime_hw
-from metasyn.device import NoiseModel
+from metasyn.device import CalibrationError, NoiseModel
 from metasyn.network import AccuracyTrace, Model, NetworkConfig
 
 BASE = NetworkConfig(n_in=32, n_out=32)
@@ -433,6 +433,45 @@ def test_one_run_of_each_kind_forks_nothing(monkeypatch):
     assert list(result.traces) == ["multistate", "hw_multistate"]
 
 
+# both hardware models, so each share needs the n_levels 1 and 3 tables
+CALIBRATED_COMPARE = ExperimentSpec(
+    base=NetworkConfig(n_in=16, n_out=16), seeds=(0, 1), n_patterns=3, hardware=True
+)
+
+
+def test_share_workers_make_no_calibration(monkeypatch):
+    """The caller calibrates every level count of the hardware runs before
+    the fork, so a worker finds each table in the memo it inherits."""
+    caller, real = os.getpid(), device._find_anchor
+
+    def anchor(*args):
+        if os.getpid() != caller:
+            raise AssertionError("a share worker calibrated")
+        return real(*args)
+
+    device._calibrated_table.cache_clear()
+    monkeypatch.setattr(device, "_find_anchor", anchor)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    result = run_comparison(CALIBRATED_COMPARE)
+    assert list(result.traces) == [m.value for m in Model] + ["hw_binary", "hw_multistate"]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_calibration_error_starts_no_worker(monkeypatch):
+    def anchor(*args):
+        raise CalibrationError("no anchor found")
+
+    def no_fork():
+        raise AssertionError("a worker started")
+
+    device._calibrated_table.cache_clear()
+    monkeypatch.setattr(device, "_find_anchor", anchor)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(CalibrationError, match="^no anchor found$"):
+        run_comparison(CALIBRATED_COMPARE)
+
+
 def test_usable_cpus_is_the_affinity_set():
     expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert experiments._usable_cpus() == expected >= 1
@@ -457,6 +496,25 @@ def test_default_cf_labels_are_unchanged():
     spec = ExperimentSpec()
     for v in (*spec.c_grid, *spec.f_grid, 1.0, 1e-05, 0.333):
         assert experiments._grid_label(v) == f"{v:g}"
+
+
+def test_sweep_size_names_a_size_it_cannot_build(monkeypatch):
+    """At f = 0.25 a 1 x 1 network has no active input bit; the sweep names
+    the grid entry before any run starts."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "run_lifetime", no_run)
+    spec = ExperimentSpec(seeds=(0,), n_patterns=2, size_grid=(8, 1))
+    with pytest.raises(ValueError, match="^size_grid entry 1 gives no network: activity too low"):
+        sweep_size(spec)
+
+
+def test_an_unbuildable_size_grid_does_not_stop_a_compare():
+    spec = ExperimentSpec(base=NetworkConfig(n_in=16, n_out=16), seeds=(0,), n_patterns=2,
+                          size_grid=(1,))
+    assert list(run_comparison(spec, models=(Model.BINARY,)).traces) == ["binary"]
 
 
 def test_run_cells_rejects_a_repeated_label():

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from metasyn import network
 from metasyn.network import (
     BehavioralNetwork,
     Model,
@@ -278,8 +279,13 @@ def test_deep_metalevel_shields_efficacy():
         NetworkConfig(n_in=64, n_out=64, q=0.5, seed=6),
         NetworkConfig(n_in=64, n_out=64, updates_per_pattern=3, seed=7),
         NetworkConfig(n_in=48, n_out=20, connectivity=0.5, activity=0.5, seed=8),
+        # theta = 28.999999999999996, which rounds to 29 in float32
+        NetworkConfig(n_in=125, n_out=16, connectivity=0.8, activity=0.58, seed=9),
     ],
-    ids=["binary", "levels1", "levels3", "levels5", "gradient", "q0.5", "upp3", "48x20-f0.5"],
+    ids=[
+        "binary", "levels1", "levels3", "levels5", "gradient", "q0.5", "upp3", "48x20-f0.5",
+        "theta-below-29",
+    ],
 )
 def test_retention_reader_equals_fresh_forward_every_step(cfg):
     """The retention reader keeps its votes by active-row efficacy deltas;
@@ -405,3 +411,132 @@ def test_multistate_retains_longer_than_binary_every_seed():
         cm = threshold_crossing(tm, 0.75)
         assert cb is not None and cm is not None
         assert cm > cb
+
+
+def test_pruned_synapses_read_low_at_initialization():
+    """The reads leave the mask out: pruned synapses start low."""
+    for model in Model:
+        net = BehavioralNetwork.initialize(NetworkConfig(n_in=24, n_out=16, model=model, seed=3))
+        assert np.all(net.efficacy_matrix()[~net.mask] == 0.0)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_pruned_synapses_never_move_over_a_lifetime_run(model):
+    """Every selection of the correction step is masked, so a pruned
+    synapse keeps its starting chain index (weight 0 for the gradient
+    model) through a gated, two-round lifetime run."""
+    cfg = NetworkConfig(
+        n_in=32, n_out=24, connectivity=0.5, model=model, q=0.5, updates_per_pattern=2, seed=6
+    )
+    net = BehavioralNetwork.initialize(cfg)
+    values = net.weights if model is Model.GRADIENT else net.state
+    pruned = ~net.mask
+    start = values[pruned].copy()
+    assert np.all(start == (0.0 if model is Model.GRADIENT else cfg.effective_levels - 1))
+    moved = []
+
+    def train(t, pats):
+        before = values.copy()
+        net.train_on_pattern(pats[0])
+        moved.append(bool(np.any(values != before)))
+        assert values[pruned].tobytes() == start.tobytes(), f"step {t}"
+
+    patterns = make_pattern_set(cfg, 60)
+    lifetime_loop(train, net.retention_reader(np.stack([p.input_bits for p in patterns])), [patterns])
+    assert sum(moved) > 30  # connected synapses did move
+
+
+# ---- accuracy bookkeeping --------------------------------------------------------------
+
+
+def mean_reference(cfg: NetworkConfig, n_patterns: int) -> tuple[np.ndarray, np.ndarray]:
+    """A lifetime run read densely through the mask at every step, with the
+    accuracy of the two np.mean calls."""
+    patterns = make_pattern_set(cfg, n_patterns)
+    inputs = np.stack([p.input_bits for p in patterns]).astype(np.float64)
+    targets = np.stack([p.target_bits for p in patterns])
+    net = BehavioralNetwork.initialize(cfg)
+    learning, mean = np.empty(n_patterns), np.empty(n_patterns)
+    for t, pat in enumerate(patterns):
+        net.train_on_pattern(pat)
+        efficacy = np.where(net.mask, net.efficacy_matrix(), 0.0)
+        outputs = (inputs[: t + 1] @ efficacy > cfg.theta).astype(np.uint8)
+        acc = (outputs == targets[: t + 1]).mean(axis=1)
+        learning[t], mean[t] = acc[t], acc.mean()
+    return learning, mean
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("n_out", [100, 45])
+def test_accuracy_from_counts_equals_the_mean_formula(model, n_out):
+    """Counts divided by n_out, summed and divided by t + 1 give the bits of
+    the two np.mean calls at output widths that are not powers of two."""
+    cfg = NetworkConfig(n_in=48, n_out=n_out, connectivity=0.5, model=model, seed=2)
+    learning, mean = mean_reference(cfg, 80)
+    trace = run_lifetime(cfg, n_patterns=80)
+    assert trace.learning.tobytes() == learning.tobytes()
+    assert trace.mean.tobytes() == mean.tobytes()
+
+
+# ---- pattern sets ---------------------------------------------------------------------
+
+MEMO_KEYS = [
+    (NetworkConfig(n_in=20, n_out=12, seed=5), 9),
+    (NetworkConfig(n_in=21, n_out=12, seed=5), 9),
+    (NetworkConfig(n_in=20, n_out=13, seed=5), 9),
+    (NetworkConfig(n_in=20, n_out=12, activity=0.5, seed=5), 9),
+    (NetworkConfig(n_in=20, n_out=12, seed=6), 9),
+    (NetworkConfig(n_in=20, n_out=12, seed=5), 10),
+]
+
+
+def cold_pattern_bytes(cfg: NetworkConfig, count: int) -> tuple[bytes, bytes]:
+    """The pattern set's bytes as derived before any memo existed."""
+    in_ss, tgt_ss = seed_streams(cfg.seed)["patterns"].spawn(2)
+    return (
+        generate_patterns(cfg.n_in, cfg.activity, count, in_ss).tobytes(),
+        generate_patterns(cfg.n_out, cfg.activity, count, tgt_ss).tobytes(),
+    )
+
+
+def pattern_bytes(patterns: list[Pattern]) -> tuple[bytes, bytes]:
+    return (
+        np.stack([p.input_bits for p in patterns]).tobytes(),
+        np.stack([p.target_bits for p in patterns]).tobytes(),
+    )
+
+
+def test_a_pattern_set_is_generated_once_per_key(monkeypatch):
+    """Every model on one seed shares one set: one generate_patterns pair
+    per key, and each call returns a fresh list of read-only rows."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return generate_patterns(*args)
+
+    network._pattern_arrays.cache_clear()
+    monkeypatch.setattr(network, "generate_patterns", counted)
+    cfg, count = MEMO_KEYS[0]
+    first = make_pattern_set(cfg, count)
+    again = make_pattern_set(replace(cfg, model=Model.BINARY, q=0.5, n_levels=5), count)
+    assert len(calls) == 2
+    assert again is not first and pattern_bytes(again) == pattern_bytes(first)
+    for pat in first:
+        assert not pat.input_bits.flags.writeable and not pat.target_bits.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0].input_bits[0] = 1 - first[0].input_bits[0]
+    make_pattern_set(*MEMO_KEYS[1])
+    assert len(calls) == 4
+
+
+def test_each_memo_key_gives_its_cold_pattern_set():
+    """Sets of keys that differ in one field each are held together and
+    each equals the set generated without the memo."""
+    network._pattern_arrays.cache_clear()
+    held = [make_pattern_set(cfg, count) for cfg, count in MEMO_KEYS]
+    assert len({pattern_bytes(p) for p in held}) == len(MEMO_KEYS)
+    for (cfg, count), patterns in zip(MEMO_KEYS, held):
+        assert len(patterns) == count
+        assert pattern_bytes(patterns) == cold_pattern_bytes(cfg, count)
+        assert pattern_bytes(make_pattern_set(cfg, count)) == cold_pattern_bytes(cfg, count)
