@@ -413,18 +413,12 @@ def test_multistate_retains_longer_than_binary_every_seed():
         assert cm > cb
 
 
-def test_pruned_synapses_read_low_at_initialization():
-    """The reads leave the mask out: pruned synapses start low."""
-    for model in Model:
-        net = BehavioralNetwork.initialize(NetworkConfig(n_in=24, n_out=16, model=model, seed=3))
-        assert np.all(net.efficacy_matrix()[~net.mask] == 0.0)
-
-
 @pytest.mark.parametrize("model", list(Model))
 def test_pruned_synapses_never_move_over_a_lifetime_run(model):
     """Every selection of the correction step is masked, so a pruned
     synapse keeps its starting chain index (weight 0 for the gradient
-    model) through a gated, two-round lifetime run."""
+    model) through a gated, two-round lifetime run, and the reads, which
+    leave the mask out, see it low."""
     cfg = NetworkConfig(
         n_in=32, n_out=24, connectivity=0.5, model=model, q=0.5, updates_per_pattern=2, seed=6
     )
@@ -444,6 +438,7 @@ def test_pruned_synapses_never_move_over_a_lifetime_run(model):
     patterns = make_pattern_set(cfg, 60)
     lifetime_loop(train, net.retention_reader(np.stack([p.input_bits for p in patterns])), [patterns])
     assert sum(moved) > 30  # connected synapses did move
+    assert np.all(net.efficacy_matrix()[pruned] == 0.0)
 
 
 # ---- accuracy bookkeeping --------------------------------------------------------------
