@@ -63,9 +63,9 @@ class RunConfig(ExperimentSpec):
 
     Every field of the spec's base NetworkConfig and DeviceParams, and every
     other spec field, is one config key of the same name.  Every command
-    that touches hardware honours the device keys and sigma:
-    calibrate-device, dump-trace, and run, compare and the sweeps with
-    hardware = true.
+    that touches hardware honours the device keys: calibrate-device,
+    dump-trace, and run, compare and the sweeps with hardware = true.  All
+    but calibrate-device, whose calibration is noise-free, honour sigma.
     """
 
     out_dir: str = "out"
@@ -406,8 +406,9 @@ def execute(cmd: str, cfg: RunConfig) -> int:
         _note(f"applying seed offset {shift} from {SEED_OFFSET_VAR}")
 
     if cmd == "calibrate-device":
-        _note(f"calibrating {2 * cfg.base.n_levels}-state chain")
-        table = calibrate_metastate_table(cfg.params, n_levels=cfg.base.n_levels)
+        levels = cfg.base.effective_levels  # the table this config's hardware runs use
+        _note(f"calibrating {2 * levels}-state chain")
+        table = calibrate_metastate_table(cfg.params, n_levels=levels)
         paths = [out / "metastate_table.csv"]
         write_metastate_table_csv(paths[0], table, cfg.params)
         return _emit(paths)

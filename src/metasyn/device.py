@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import threading
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -48,12 +47,12 @@ _FULL_LEVELS = (_CANDIDATES // 4 + 1).bit_length() - 1
 # this many bytes: one draw covers a whole pulse on a few hundred devices,
 # while a pulse on many devices never holds its full draw in memory.
 _NOISE_BLOCK_BYTES = 1 << 18
-# A noisy call on at least this many devices draws its blocks on a producer
+# A noisy call on at least this many devices draws its blocks on a worker
 # thread while the Heun steps run; below it the handoff costs more than the
 # overlap saves (measured crossover: 3-4k devices on 2 vCPUs).
 _DRAW_AHEAD_DEVICES = 4096
-# Blocks queued between the producer and the integrator: with the block being
-# drawn and the block in use, a call holds at most four blocks (1 MiB).
+# Blocks drawn ahead of the one the integrator waits for: with those two and
+# the block in use, a call holds at most four blocks (1 MiB).
 _DRAW_AHEAD_BLOCKS = 2
 
 # A pulse call in which one noise model feeds two segments holds the earlier
@@ -274,11 +273,11 @@ def integrate_pulse(
     draw, one call per segment in order.
 
     A noisy call on at least _DRAW_AHEAD_DEVICES devices builds its noise
-    blocks on a producer thread (:func:`_drawn_ahead`) while this thread
+    blocks on one worker thread (:func:`_drawn_ahead`) while this thread
     integrates the block before; smaller calls, where the handoff would cost
     more than the overlap saves, build each block in the loop.  The held
-    draws happen here, before the producer starts, and the producer builds
-    the blocks in order, so every stream yields the same numbers in the same
+    draws happen here, before the worker starts, and the worker builds the
+    blocks in order, so every stream yields the same numbers in the same
     order and the output is the same bit for bit.
     """
     xa = np.array(x, dtype=float)
@@ -353,47 +352,34 @@ def integrate_pulse(
 
 @contextlib.contextmanager
 def _drawn_ahead(make, args: range):
-    """Yield an iterator over make(a) for each a in args, built in order on a
-    producer thread at most _DRAW_AHEAD_BLOCKS items ahead.
+    """Yield an iterator over make(a) for each a in args, built in order on
+    one worker thread at most _DRAW_AHEAD_BLOCKS items ahead of the one the
+    consumer waits for.
 
     numpy releases the interpreter lock inside standard-normal fills and long
-    ufunc loops, so the producer's draws overlap the consumer's arithmetic.
-    An error raised in the producer is raised again in the consumer, and
-    leaving the block stops and joins the producer, on success or on error.
+    ufunc loops, so the worker's draws overlap the consumer's arithmetic.
+    An error raised by make is raised again by the consumer's result(), and
+    leaving the block cancels the blocks not yet started and joins the
+    worker, on success or on error.
     """
-    import queue
+    from collections import deque
+    from concurrent.futures import ThreadPoolExecutor
+    from itertools import islice
 
-    handoff = queue.Queue(maxsize=_DRAW_AHEAD_BLOCKS)
-    stop = threading.Event()
+    pool = ThreadPoolExecutor(1, thread_name_prefix="metasyn-noise")
 
-    def produce():
-        try:
-            for a in args:
-                if stop.is_set():
-                    return
-                handoff.put(make(a))
-        except BaseException as exc:  # handed to the consumer, which raises it
-            handoff.put(exc)
+    def results():
+        todo = iter(args)
+        ahead = deque(pool.submit(make, a) for a in islice(todo, _DRAW_AHEAD_BLOCKS + 1))
+        while ahead:
+            block = ahead.popleft().result()
+            ahead.extend(pool.submit(make, a) for a in islice(todo, 1))
+            yield block
 
-    def consume():
-        for _ in args:
-            item = handoff.get()
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-
-    producer = threading.Thread(target=produce, name="metasyn-noise", daemon=True)
-    producer.start()
     try:
-        yield consume()
+        yield results()
     finally:
-        stop.set()
-        # after stop is set the producer puts at most one more item, which
-        # the emptied queue takes without blocking
-        with contextlib.suppress(queue.Empty):
-            while True:
-                handoff.get_nowait()
-        producer.join()
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import pytest
 import metasyn
 from metasyn import cli, experiments
 from metasyn.crossbar import Crossbar, EventLog, init_crossbar
-from metasyn.device import DeviceParams, NoiseModel
+from metasyn.device import DeviceParams, NoiseModel, calibrate_metastate_table
 from metasyn.experiments import ExperimentSpec
 from metasyn.network import AccuracyTrace, Model, NetworkConfig
 from metasyn.cli import (
@@ -497,6 +497,20 @@ def test_calibrate_device_table(tmp_path, monkeypatch):
     assert [r[0] for r in rows[1:]] == ["low"] * 3 + ["high"] * 3
 
 
+def test_calibrate_device_writes_the_table_hardware_runs_use(tmp_path, monkeypatch):
+    """A binary model programs on the one-level table, so that is the table
+    calibrate-device writes, whatever n_levels says."""
+    monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
+    cfg = parse_config(f"model = binary\nn_levels = 4\nout_dir = {tmp_path}\n")
+    assert execute("calibrate-device", cfg) == 0
+    rows = read_csv(tmp_path / "metastate_table.csv")
+    table = calibrate_metastate_table(cfg.params, n_levels=1)
+    assert [r[:2] for r in rows[1:]] == [["low", "0"], ["high", "0"]]
+    assert [float(r[2]) for r in rows[1:]] == table.plateaus.tolist()
+    hardware = init_crossbar(cfg.base, params=cfg.params).table
+    assert hardware.plateaus.tolist() == table.plateaus.tolist()
+
+
 def test_dump_trace_events(tmp_path, monkeypatch):
     monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
     cfg = parse_config(
@@ -721,18 +735,44 @@ def test_main_runs_with_config(tmp_path, capsys, monkeypatch):
     assert "traces.csv" in out
 
 
-def test_importing_the_cli_loads_no_executor():
-    """Every command pays its imports.  concurrent.futures would bring in
-    logging, about 11 ms, for a producer thread that threading and queue
-    serve; it and multiprocessing are imported only by an experiment that
-    runs more than one share."""
+def _fresh_python(code: str) -> str:
+    """What code prints in a new interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_executor():
+    """Every command pays its imports, and concurrent.futures costs about
+    8 ms: a pulse call imports it only when it draws noise ahead, and it
+    and multiprocessing are imported otherwise only by an experiment that
+    runs more than one share."""
     code = (
         "import sys, metasyn.cli; "
         "print([m in sys.modules for m in ('concurrent.futures', 'multiprocessing')])"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip() == "[False, False]"
+    assert _fresh_python(code) == "[False, False]"
+
+
+def test_serial_pulse_calls_load_no_executor():
+    """A pulse call stays off the executor's import unless it draws noise
+    ahead: noise off at any size and noise on below the gate load nothing,
+    so `compare` with hardware and `dump-trace` never pay it; a noisy call
+    at the gate does."""
+    code = """
+import sys, metasyn.cli
+import numpy as np
+from metasyn.device import _DRAW_AHEAD_DEVICES as gate
+from metasyn.device import DeviceParams, NoiseModel, PulseSpec, integrate_pulse
+
+def loaded(n, noise):
+    integrate_pulse(np.full(n, 0.5), PulseSpec(1.2), DeviceParams(), noise)
+    return 'concurrent.futures' in sys.modules
+
+print(loaded(2 * gate, NoiseModel.off()), loaded(gate - 1, NoiseModel(0.25, rng_seed=1)),
+      loaded(gate, NoiseModel(0.25, rng_seed=1)))
+"""
+    assert _fresh_python(code) == "False False True"

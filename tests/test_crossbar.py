@@ -24,6 +24,7 @@ from metasyn.device import (
     NoiseModel,
     calibrate_metastate_table,
     conductance,
+    flip_conductances,
 )
 from metasyn.network import (
     BehavioralNetwork,
@@ -351,7 +352,7 @@ def test_one_pulse_call_per_round_equals_one_per_phase(monkeypatch):
 
 def test_noise_drawn_ahead_leaves_lockstep_traces_unchanged(monkeypatch):
     """Every noisy pulse call of a two-run lockstep group drawing its noise on
-    a producer thread gives the serial loop's trace bytes."""
+    a worker thread gives the serial loop's trace bytes."""
     cfgs = [
         NetworkConfig(n_in=64, n_out=64, connectivity=0.5, activity=0.5, seed=seed)
         for seed in (1, 2)
@@ -436,6 +437,34 @@ def test_exact_reductions_hold_for_every_accepted_config(
     binary = run_lifetime(replace(cfg, model=Model.BINARY), n_patterns=n_patterns)
     assert one.learning.tobytes() == binary.learning.tobytes()
     assert one.mean.tobytes() == binary.mean.tobytes()
+
+
+def _exact_background_read(xb: Crossbar, inputs: np.ndarray) -> np.ndarray:
+    """infer_batch with the reference's expected background replaced by each
+    column's actual one: its active connected devices at the (low, 0)
+    conductance and its active pruned crosspoints at g_off."""
+    g_low, g_high = flip_conductances(xb.table, xb.params)
+    rows = inputs.astype(np.float64)
+    connected = rows @ xb.mask
+    pruned = rows.sum(axis=1, keepdims=True) - connected
+    background = connected * g_low + pruned * xb.params.g_off
+    i_ref = xb.v_read * ((np.floor(xb.cfg.theta) + 0.5) * (g_high - g_low) + background)
+    return (xb.column_currents_batch(inputs) > i_ref).astype(np.uint8)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_metalevel_default_device_with_exact_background_is_behavioral(monkeypatch, seed):
+    """A one-metalevel device sits on two plateaus only, so at the default
+    device and noise off the two views part only through the reference's
+    expected background: read against each column's exact background, the
+    hardware trace is the behavioral one byte for byte.  Shifting that
+    background by 2 low devices (0.57 gaps) breaks the equality."""
+    monkeypatch.setattr(Crossbar, "infer_batch", _exact_background_read)
+    cfg = NetworkConfig(model=Model.BINARY, seed=seed)
+    hw = run_lifetime_hw(cfg, n_patterns=100, noise=NoiseModel.off())
+    sw = run_lifetime(cfg, n_patterns=100)
+    assert hw.learning.tobytes() == sw.learning.tobytes()
+    assert hw.mean.tobytes() == sw.mean.tobytes()
 
 
 def test_read_voltage_must_stay_subthreshold():

@@ -402,7 +402,7 @@ def test_segment_counts_must_cover_the_states(params):
         integrate_pulse(np.zeros(4), PulseSpec(1.2), params, [(None, 3, 1.2)])
 
 
-# ---- noise drawn ahead on a producer thread -------------------------------------
+# ---- noise drawn ahead on a worker thread ---------------------------------------
 
 
 SERIAL = 10**9  # a draw-ahead gate no call reaches
@@ -472,7 +472,7 @@ TWO_PHASE = [("a", 3000, 1), (None, 500, 1), ("b", 1000, 1), ("a", 2000, -1), ("
 def test_drawing_ahead_is_bit_identical(
     params, monkeypatch, ahead_calls, spec, pulse, block_bytes, held_bytes, passes
 ):
-    """Noise blocks drawn on a producer thread give the serial loop's output
+    """Noise blocks drawn on a worker thread give the serial loop's output
     bytes and leave every stream where the serial loop leaves it, and both
     equal the serial reference of one call per segment in order.  Past the
     held-draw budget the call programs in two passes, each drawing ahead."""
@@ -505,7 +505,7 @@ def test_drawing_ahead_is_bit_identical(
 
 
 def test_a_producer_draw_error_is_raised_by_the_call(params, monkeypatch, ahead_calls):
-    """An unbound model cannot draw: on the producer thread its error must
+    """An unbound model cannot draw: on the worker thread its error must
     reach the caller unchanged, and no thread may be left waiting."""
     x = np.full(40_000, 0.5)
     before = set(threading.enumerate())
@@ -521,15 +521,15 @@ def test_a_producer_draw_error_is_raised_by_the_call(params, monkeypatch, ahead_
 
 
 def test_an_error_in_the_heun_loop_stops_the_producer(params, monkeypatch, ahead_calls):
-    """The integrator fails while the producer waits on a full handoff
-    queue; the call must still end the producer."""
+    """The integrator fails while blocks drawn ahead wait unread; the call
+    must still end the worker."""
     clamps = []
     clamp = device._clamp_unit
 
     def failing_clamp(v):
         clamps.append(v)
         if len(clamps) == 7:
-            time.sleep(0.2)  # the producer fills the queue meanwhile
+            time.sleep(0.2)  # the worker draws the blocks ahead meanwhile
             raise FloatingPointError("step failed")
         return clamp(v)
 
