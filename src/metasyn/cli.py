@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .crossbar import EventLog, run_lifetime_hw
+from .crossbar import EventLog, _require_crossbar_model, run_lifetime_hw
 from .device import (
     CalibrationError,
     DeviceParams,
@@ -406,6 +406,7 @@ def execute(cmd: str, cfg: RunConfig) -> int:
         _note(f"applying seed offset {shift} from {SEED_OFFSET_VAR}")
 
     if cmd == "calibrate-device":
+        _require_crossbar_model(cfg.base)
         levels = cfg.base.effective_levels  # the table this config's hardware runs use
         _note(f"calibrating {2 * levels}-state chain")
         table = calibrate_metastate_table(cfg.params, n_levels=levels)

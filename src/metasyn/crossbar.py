@@ -115,8 +115,6 @@ class Crossbar:
         self.v_half = abs(table.pulse.amplitude) / 2.0
         if not self.v_half < params.v_off:
             raise ValueError("half-select voltage must stay below v_off")
-        if not -self.v_half > params.v_on:
-            raise ValueError("negative half-select voltage must stay above v_on")
         if noise is not None:
             if noise.rng_seed is not None:
                 raise ValueError(

@@ -22,9 +22,9 @@ import numpy as np
 
 from .synapse import MetaState, UpdateDirection, _clamp_unit, chain_index, chain_state
 
-# Pulse rate constants (k_off = -k_on) for the default pulse shape (1.2 V,
-# 15 us, 0.1 us steps) and window (tau = 2.0, p = 2).  The default value
-# gives a (high,0)/(low,0) conductance ratio of 4.5; the idealized value
+# Pulse rate constants (the reset rate is -k_off) for the default pulse shape
+# (1.2 V, 15 us, 0.1 us steps) and window (tau = 2.0, p = 2).  The default
+# value gives a (high,0)/(low,0) conductance ratio of 4.5; the idealized value
 # puts the low plateaus at x = 0.003 and below, so that column currents
 # separate high-efficacy counts exactly.
 _DEFAULT_K_OFF = 7006346.8122965945
@@ -69,19 +69,18 @@ class DeviceParams:
     """Physical constants of one memristive device.
 
     Conductance limits correspond to 100 kOhm (on) and 10 MOhm (off).
-    k_off > 0 drives x up for v > v_off; k_on < 0 drives x down for
-    v < v_on.  The state x is w/D, and the thickness D only rescales the
-    k constants, so it is folded into them.
+    k_off > 0 drives x up for v > v_off; the reset side is its mirror, -k_off
+    driving x down for v < -v_off, with one exponent alpha_off for both,
+    since only then does a depressing pulse retrace a potentiating one.  The
+    state x is w/D, and the thickness D only rescales k_off, so it is folded
+    into it.
     """
 
     g_on: float = 1.0e-5
     g_off: float = 1.0e-7
     v_off: float = 1.0
-    v_on: float = -1.0
     k_off: float = _DEFAULT_K_OFF
-    k_on: float = -_DEFAULT_K_OFF
     alpha_off: float = 3.0
-    alpha_on: float = 3.0
     tau: float = 2.0
     p_exp: float = 2.0
 
@@ -91,15 +90,14 @@ class DeviceParams:
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.g_on > self.g_off >= 0.0:
             raise ValueError("need g_on > g_off >= 0")
-        if not (self.v_on < 0.0 < self.v_off):
-            raise ValueError("need v_on < 0 < v_off")
-        if not (self.k_off > 0.0 > self.k_on):
-            raise ValueError("need k_off > 0 > k_on")
+        if not self.v_off > 0.0:
+            raise ValueError("need v_off > 0")
+        if not self.k_off > 0.0:
+            raise ValueError("need k_off > 0")
         # at alpha = 0 the drive k * max(v / v_thresh - 1, 0) ** alpha is k
         # below threshold too, since 0 ** 0 == 1
-        for name in ("alpha_off", "alpha_on"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.alpha_off > 0.0:
+            raise ValueError(f"alpha_off must be > 0, got {self.alpha_off}")
         if not self.tau >= 0.0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
         # an odd or fractional power breaks the window's symmetry about the
@@ -116,7 +114,7 @@ class DeviceParams:
         """Limit profile for reduction checks: no off-state conduction and a
         chain spread wide enough that column currents count high-efficacy
         devices exactly."""
-        return cls(g_off=0.0, k_off=_IDEAL_K_OFF, k_on=-_IDEAL_K_OFF)
+        return cls(g_off=0.0, k_off=_IDEAL_K_OFF)
 
 
 @dataclass(frozen=True)
@@ -235,11 +233,12 @@ def conductance(x, params: DeviceParams):
 
 def _drive(v, params: DeviceParams):
     """The voltage factor of dx/dt: k * (v/v_thresh - 1)^alpha summed over
-    both polarities.  Both branch bases are clamped at zero so the inactive
-    branch contributes exactly 0."""
+    both polarities, the reset branch the mirror of the set branch (k and
+    v_thresh negated).  Both branch bases are clamped at zero so the
+    inactive branch contributes exactly 0."""
     va = np.asarray(v, dtype=float)
     up = params.k_off * np.maximum(va / params.v_off - 1.0, 0.0) ** params.alpha_off
-    down = params.k_on * np.maximum(va / params.v_on - 1.0, 0.0) ** params.alpha_on
+    down = -params.k_off * np.maximum(va / -params.v_off - 1.0, 0.0) ** params.alpha_off
     return up + down
 
 
@@ -589,8 +588,6 @@ def calibrate_metastate_table(
         pulse = PulseSpec(amplitude=1.2)
     if pulse.amplitude <= params.v_off:
         raise CalibrationError("programming amplitude must exceed v_off")
-    if -pulse.amplitude >= params.v_on:
-        raise CalibrationError("programming amplitude must exceed -v_on")
     table = _calibrated_table(params, n_levels, pulse)
     if ratio_bounds is not None:
         ratio = metastate_ratio(table, params)

@@ -104,8 +104,7 @@ KEYS = [
     "updates_per_pattern", "q", "learning_rate",
     "seeds", "n_patterns", "mean_threshold", "hardware", "size_grid", "c_grid",
     "f_grid",
-    "g_on", "g_off", "v_off", "v_on", "k_off", "k_on", "alpha_off", "alpha_on",
-    "tau", "p_exp",
+    "g_on", "g_off", "v_off", "k_off", "alpha_off", "tau", "p_exp",
     "sigma",
     "out_dir",
 ]
@@ -117,9 +116,8 @@ BAD = {
     "q": "0.0", "learning_rate": "-0.1",
     "seeds": "0, -1", "n_patterns": "0", "mean_threshold": "1.0", "hardware": "yes",
     "size_grid": "16, 0", "c_grid": "1.5", "f_grid": "0.0",
-    "g_on": "1e-8", "g_off": "-1e-9", "v_off": "-0.5", "v_on": "0.5",
-    "k_off": "-1.0", "k_on": "1.0", "alpha_off": "-1.0", "alpha_on": "-1.0",
-    "tau": "-1.0", "p_exp": "3.0",
+    "g_on": "1e-8", "g_off": "-1e-9", "v_off": "-0.5", "k_off": "-1.0",
+    "alpha_off": "-1.0", "tau": "-1.0", "p_exp": "3.0",
     "sigma": "-0.1",
     "out_dir": "",
 }
@@ -127,7 +125,7 @@ BAD = {
 
 def test_key_set_is_pinned():
     keys = [line.split(" = ")[0] for line in serialize_config(RunConfig()).splitlines()]
-    assert keys == KEYS and len(KEYS) == 29
+    assert keys == KEYS and len(KEYS) == 26
     assert sorted(BAD) == sorted(KEYS)
 
 
@@ -179,7 +177,6 @@ def test_every_key_range_checked(key):
         lambda: NetworkConfig(seed=-1),
         lambda: DeviceParams(alpha_off=-1.0),
         lambda: DeviceParams(alpha_off=0.0),
-        lambda: DeviceParams(alpha_on=0.0),
         lambda: DeviceParams(tau=-1.0),
         lambda: ExperimentSpec(c_grid=(1.5,)),
         lambda: ExperimentSpec(f_grid=(float("nan"),)),
@@ -195,8 +192,7 @@ def test_every_key_range_checked(key):
         lambda: ExperimentSpec(f_grid=(0.25, 0.5, 0.25)),
     ],
     ids=[
-        "learning_rate", "learning_rate_inf", "seed", "alpha_off", "alpha_off_zero",
-        "alpha_on_zero", "tau",
+        "learning_rate", "learning_rate_inf", "seed", "alpha_off", "alpha_off_zero", "tau",
         "c_grid", "f_nan", "sigma_nan", "sigma_inf", "noise_sigma_inf", "g_on_inf",
         "k_off_inf", "tau_inf",
         "seeds_repeat", "size_grid_repeat", "c_grid_repeat", "f_grid_repeat",
@@ -209,11 +205,11 @@ def test_library_rejects_what_the_cli_rejects(build):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("sigma", "inf"), ("g_on", "inf"), ("k_off", "inf"), ("k_on", "-inf"), ("tau", "inf"),
+    [("sigma", "inf"), ("g_on", "inf"), ("k_off", "inf"), ("tau", "inf"),
      ("learning_rate", "inf")],
 )
 def test_infinite_value_rejected_at_its_line(key, value):
-    # sigma = inf used to parse and then give NaN states; infinite k_off, k_on
+    # sigma = inf used to parse and then give NaN states; infinite k_off
     # or tau surfaced only later, as a misleading calibration error; an
     # infinite learning_rate jumped every gradient step's weight to 0 or 1
     with pytest.raises(ConfigError, match=rf"^line 2: '{key}' rejected: .*finite"):
@@ -280,11 +276,8 @@ f_grid = 0.35
 g_on = 2e-05
 g_off = 2e-07
 v_off = 0.9
-v_on = -0.8
 k_off = 8000000.0
-k_on = -9000000.0
 alpha_off = 2.0
-alpha_on = 4.0
 tau = 1.5
 p_exp = 4.0
 sigma = 0.1
@@ -294,8 +287,7 @@ EVERY_BASE = NetworkConfig(
     model=Model.BINARY, seed=4, updates_per_pattern=2, q=0.9, learning_rate=0.2,
 )
 EVERY_PARAMS = DeviceParams(
-    g_on=2e-05, g_off=2e-07, v_off=0.9, v_on=-0.8, k_off=8.0e6, k_on=-9.0e6,
-    alpha_off=2.0, alpha_on=4.0, tau=1.5, p_exp=4.0,
+    g_on=2e-05, g_off=2e-07, v_off=0.9, k_off=8.0e6, alpha_off=2.0, tau=1.5, p_exp=4.0,
 )
 
 # command -> (the config fields its cells set, the (kind, values) of every call)
@@ -619,7 +611,7 @@ def _hw_compare_traces(out, extra: str = "") -> bytes:
 
 @pytest.mark.parametrize(
     "extra",
-    ["sigma = 0.0\n", "k_off = 8.0e6\nk_on = -8.0e6\n"],
+    ["sigma = 0.0\n", "k_off = 8.0e6\n"],  # k_off sets the rate pair (k_off, -k_off)
     ids=["sigma", "k_pair"],
 )
 def test_hardware_compare_honours_device_and_noise_keys(tmp_path, monkeypatch, extra):
@@ -690,22 +682,39 @@ def test_main_rejects_gradient_hardware_run(tmp_path, capsys):
     assert not (tmp_path / "out" / "traces.csv").exists()
 
 
+def test_main_rejects_gradient_calibrate_device(tmp_path, capsys, monkeypatch):
+    # calibrate-device used to exit 0 with the 6-state table of a chain that
+    # no crossbar programs; it is rejected before any calibration
+    def calibrate(*args, **kwargs):
+        raise AssertionError("calibrated a gradient model")
+
+    monkeypatch.setattr(cli, "calibrate_metastate_table", calibrate)
+    cfgfile = tmp_path / "gd.cfg"
+    cfgfile.write_text(
+        TINY + f"model = gradient\nout_dir = {tmp_path / 'out'}\n", encoding="utf-8"
+    )
+    assert main(["calibrate-device", str(cfgfile)]) == 1
+    assert "error: the gradient model has no crossbar realization" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metastate_table.csv").exists()
+
+
 @pytest.mark.parametrize(
-    "cmd, v_on, message",
+    "cmd, device, message",
     [
-        ("calibrate-device", -1.5, "programming amplitude must exceed -v_on"),
-        ("run", -1.5, "programming amplitude must exceed -v_on"),
-        ("run", -0.5, "negative half-select voltage must stay above v_on"),
+        ("calibrate-device", "v_off = 1.5\n", "programming amplitude must exceed v_off"),
+        ("run", "v_off = 1.5\n", "programming amplitude must exceed v_off"),
+        # k_off keeps the 1.2 V drive near the default's, so the table calibrates
+        ("run", "v_off = 0.5\nk_off = 2.0e4\n", "half-select voltage must stay below v_off"),
     ],
     ids=["calibrate-pulse", "run-pulse", "run-half-select"],
 )
-def test_main_rejects_a_device_the_depress_side_breaks(tmp_path, capsys, cmd, v_on, message):
-    # at v_on = -1.5 the -1.2 V depress pulse moved nothing, and a hardware
-    # run ended at mean 0.525 against 0.773 without an error; at v_on = -0.5
-    # the 0.6 V half-select disturbed the held rows
+def test_main_rejects_a_device_the_depress_side_breaks(tmp_path, capsys, cmd, device, message):
+    # the reset threshold is -v_off: at v_off = 1.5 the -1.2 V depress pulse
+    # would move nothing, and at v_off = 0.5 the -0.6 V half-select of the
+    # depress phase would disturb the held rows
     cfgfile = tmp_path / "dev.cfg"
     cfgfile.write_text(
-        TINY + f"hardware = true\nv_on = {v_on}\nout_dir = {tmp_path / 'out'}\n",
+        TINY + f"hardware = true\n{device}out_dir = {tmp_path / 'out'}\n",
         encoding="utf-8",
     )
     assert main([cmd, str(cfgfile)]) == 1
@@ -713,10 +722,29 @@ def test_main_rejects_a_device_the_depress_side_breaks(tmp_path, capsys, cmd, v_
     assert not any((tmp_path / "out").glob("*.csv"))
 
 
-@pytest.mark.parametrize("key", ["alpha_off", "alpha_on"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("v_on", -1.0), ("k_on", -7.0e6), ("alpha_on", 3.0)],
+    ids=["v_on", "k_on", "alpha_on"],
+)
+def test_main_rejects_a_depress_side_key(tmp_path, capsys, key, value):
+    # the reset side mirrors the set side by construction; each of these
+    # keys had exactly one value under which a depress pulse retraced a
+    # potentiating one
+    text = TINY + f"hardware = true\n{key} = {value}\nout_dir = {tmp_path / 'out'}\n"
+    with pytest.raises(ConfigError, match=rf"^line 10: unknown key '{key}'$"):
+        parse_config(text)
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text(text, encoding="utf-8")
+    assert main(["run", str(cfgfile)]) == 1
+    assert f"error: line 10: unknown key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["alpha_off"])
 def test_main_rejects_a_zero_alpha_at_its_line(tmp_path, capsys, key):
-    # at alpha = 0 the drive was k below threshold (0 ** 0 == 1); alpha_on = 0
-    # calibrated, and a hardware run silently ended far below the behavioral
+    # at alpha = 0 the drive was k below threshold (0 ** 0 == 1), and a
+    # hardware run silently ended far below the behavioral
     cfgfile = tmp_path / "dev.cfg"
     cfgfile.write_text(
         TINY + f"hardware = true\n{key} = 0\nout_dir = {tmp_path / 'out'}\n", encoding="utf-8"

@@ -475,9 +475,13 @@ def test_read_voltage_must_stay_subthreshold():
 
 
 def test_half_select_must_stay_subthreshold_on_the_depress_side():
-    # the 0.6 V held rows would cross v_on = -0.5 at the depress polarity
-    with pytest.raises(ValueError, match="v_on"):
-        init_crossbar(SMALL, params=DeviceParams(v_on=-0.5))
+    # the reset threshold is -v_off, so at v_off = 0.5 the held rows' -0.6 V
+    # in the depress phase would move devices, as 0.6 V would in the other;
+    # k_off keeps the 1.2 V drive near the default's, so the table calibrates
+    params = DeviceParams(v_off=0.5, k_off=2.0e4)
+    assert device._drive(-0.6, params) < 0.0 < device._drive(0.6, params)
+    with pytest.raises(ValueError, match="^half-select voltage must stay below v_off$"):
+        init_crossbar(SMALL, params=params)
 
 
 # ---- leakage ----------------------------------------------------------------------
