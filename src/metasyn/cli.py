@@ -29,6 +29,7 @@ from .device import (
     NoiseModel,
     calibrate_metastate_table,
     conductance,
+    metastate_ratio,
 )
 from .experiments import (
     ExperimentSpec,
@@ -409,7 +410,9 @@ def execute(cmd: str, cfg: RunConfig) -> int:
         _require_crossbar_model(cfg.base)
         levels = cfg.base.effective_levels  # the table this config's hardware runs use
         _note(f"calibrating {2 * levels}-state chain")
-        table = calibrate_metastate_table(cfg.params, n_levels=levels)
+        # unbounded, like every hardware run, which programs any ratio
+        table = calibrate_metastate_table(cfg.params, n_levels=levels, ratio_bounds=None)
+        _note(f"(high, 0)/(low, 0) conductance ratio {metastate_ratio(table, cfg.params):.3f}")
         paths = [out / "metastate_table.csv"]
         write_metastate_table_csv(paths[0], table, cfg.params)
         return _emit(paths)

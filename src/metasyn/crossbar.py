@@ -55,8 +55,9 @@ class ComparatorConfig:
     active high-efficacy synapses on the expected background of active
     low-efficacy devices and pruned leakage.  A fixed level preserves the
     analog margin a trained pattern leaves between its column current and
-    the reference, which is what lets the crossbar retain patterns as long
-    as the abstract model does.
+    the reference, so at the idealized device the crossbar retains patterns
+    as long as the abstract model does.  At the default device the two views
+    differ (README, "The two views at the default device").
     """
 
     mode: ComparatorMode = ComparatorMode.FIXED_REFERENCE
@@ -224,7 +225,10 @@ def reference_current_level(
     every active pruned crosspoint leaks the off conductance.  The reference
     therefore sits floor(theta) + 1/2 conductance gaps above that expected
     background: count > theta holds exactly when count > floor(theta) + 1/2,
-    so the decision matches the behavioral model's strict rule for any theta.
+    so at the idealized device the decision matches the behavioral model's
+    strict rule for any theta.  At the default device the background varies
+    per column by about +-0.66 gaps and the deep plateaus read 1.24-1.27
+    gaps (README, "The two views at the default device").
     """
     g_low, g_high = flip_conductances(table, params)
     n_active = cfg.n_ones_in

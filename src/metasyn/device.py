@@ -38,10 +38,6 @@ _WINDOW_CENTRE = 0.5
 # Starting states the anchor search evaluates per round, in one vector pulse
 # train: a train on a few hundred devices costs about as much as on one.
 _CANDIDATES = 255
-# Every round keeps the whole tree below the bracket for as many levels as
-# fill a quarter of the candidates (6), so that a wrong root estimate still
-# advances the walk by that many steps.
-_FULL_LEVELS = (_CANDIDATES // 4 + 1).bit_length() - 1
 
 # Programming noise is drawn in blocks of whole integration steps of at most
 # this many bytes: one draw covers a whole pulse on a few hundred devices,
@@ -194,7 +190,7 @@ def window(x, params: DeviceParams):
     """
     xa = np.asarray(x, dtype=float)
     scratch = (np.empty_like(xa) for _ in range(3))
-    value = _window_into(xa, -params.tau, params.p_exp, params.p_exp == 2.0, *scratch)
+    value = _window_into(xa, -params.tau, params.p_exp, *scratch)
     return value if value.ndim else float(value)
 
 
@@ -203,21 +199,12 @@ def window(x, params: DeviceParams):
 _HALF, _ONE, _FOUR, _CENTRE = (np.array(v) for v in (0.5, 1.0, 4.0, _WINDOW_CENTRE))
 
 
-def _window_into(x, neg_tau, p_exp, square, out, shifted, tmp):
-    """window() of x into out, with neg_tau = -tau and scratch arrays shifted, tmp.
-
-    square says p_exp == 2: then s = x - 0.5 is squared once for both terms.
-    That gives the same bits, since s is 0 or at least 2**-54 in magnitude,
-    so 4 * (s * s) == (4 * s) * s, and s * s is what power(s, 2) returns.
-    """
+def _window_into(x, neg_tau, p_exp, out, shifted, tmp):
+    """window() of x into out, with neg_tau = -tau and scratch arrays shifted, tmp."""
     np.subtract(x, _CENTRE, out=shifted)
-    if square:
-        np.multiply(shifted, shifted, out=tmp)
-        np.multiply(_FOUR, tmp, out=out)
-    else:
-        np.multiply(_FOUR, shifted, out=out)
-        np.multiply(out, shifted, out=out)
-        np.power(shifted, p_exp, out=tmp)
+    np.multiply(_FOUR, shifted, out=out)
+    np.multiply(out, shifted, out=out)
+    np.power(shifted, p_exp, out=tmp)
     np.subtract(_ONE, out, out=out)
     np.multiply(neg_tau, tmp, out=tmp)
     np.exp(tmp, out=tmp)
@@ -307,10 +294,9 @@ def integrate_pulse(
     held_draws = {i: draw(models[i], len(steps), counts[i]) for i in held}
     k1, k2, y, shifted, tmp = (np.empty_like(xa) for _ in range(5))
     neg_tau, p_exp = np.array(-params.tau), np.array(params.p_exp)
-    square = params.p_exp == 2.0  # decided once per call: see _window_into
 
     def rate(xs, out):
-        _window_into(xs, neg_tau, p_exp, square, out, shifted, tmp)
+        _window_into(xs, neg_tau, p_exp, out, shifted, tmp)
         return np.multiply(drive, out, out=out)
 
     noisy = any(m is not None for m in models)
@@ -440,8 +426,8 @@ def _pulse_train(x0: np.ndarray, count: int, pulse: PulseSpec, params: DevicePar
 
 def _tree_nodes(lo: float, hi: float, window: tuple[float, float]) -> np.ndarray:
     """Midpoints of the bisection tree below the bracket [lo, hi], ascending:
-    every node of the first _FULL_LEVELS levels, then every node whose
-    interval meets window, level by level while at most _CANDIDATES fit.
+    every node whose interval meets window, level by level while at most
+    _CANDIDATES fit.
 
     A node's interval lies inside its parent's, so a node meeting the window
     has a kept parent.  A node whose midpoint rounds onto a bound is left
@@ -450,9 +436,7 @@ def _tree_nodes(lo: float, hi: float, window: tuple[float, float]) -> np.ndarray
     los, his, levels, total = np.array([lo]), np.array([hi]), [], 0
     while True:
         mids = 0.5 * (los + his)
-        keep = (los < mids) & (mids < his)
-        if len(levels) >= _FULL_LEVELS:
-            keep &= (window[0] <= his) & (los <= window[1])
+        keep = (los < mids) & (mids < his) & (window[0] <= his) & (los <= window[1])
         los, his, mids = los[keep], his[keep], mids[keep]
         if not mids.size or total + mids.size > _CANDIDATES:
             return np.sort(np.concatenate(levels)) if levels else mids
@@ -500,10 +484,11 @@ def _find_anchor(n_levels: int, pulse: PulseSpec, params: DeviceParams) -> np.nd
 
     The search runs in speculative rounds.  Each round evaluates, in one
     vector pulse train, the bisection midpoints the walk may visit next: the
-    first levels of the tree below the current bracket, and deeper nodes
-    whose intervals meet a window around a root estimate interpolated from
-    the mismatches evaluated so far (:func:`_root_window`).  Round 1 has no
-    estimate: it holds both bracket ends and the whole tree to the budget.
+    nodes of the tree below the current bracket whose intervals meet a
+    window around a root estimate interpolated from the mismatches evaluated
+    so far (:func:`_root_window`).  The estimate lies in the bracket, so the
+    first node is always kept.  Round 1 has no estimate: it holds both
+    bracket ends and the whole tree to the budget.
     The scalar bisection then walks on, committing a step only at an
     evaluated midpoint, and the round ends at the first one not evaluated.
     Every midpoint is the same 0.5 * (lo + hi) of the same bounds, and the
@@ -552,10 +537,14 @@ def _calibrated_table(params: DeviceParams, n_levels: int, pulse: PulseSpec) -> 
     plateaus = _find_anchor(n_levels, pulse, params)
     rising = np.diff(plateaus) > 0.0
     if not np.all(rising):
+        # a pulse never moves a state down, and one from a tied plateau lands
+        # on it again, so the tie runs to the top of the chain
         i, x = int(np.argmin(rising)), plateaus.tolist()
         raise CalibrationError(
             f"plateaus are not strictly increasing at n_levels = {n_levels}: plateau {i} "
-            f"(x = {x[i]!r}) is not below plateau {i + 1} (x = {x[i + 1]!r})"
+            f"(x = {x[i]!r}) is not below plateau {i + 1} (x = {x[i + 1]!r}); the pulse "
+            f"drives the top {len(x) - i} plateaus into the upper rail, and fewer levels, "
+            "a lower k_off or a higher v_off separates them"
         )
     # the window vanishes on the rails, so no pulse could move a device there
     if not (0.0 < plateaus[0] and plateaus[-1] < 1.0):

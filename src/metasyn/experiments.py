@@ -194,7 +194,7 @@ def _run_shares(spec: ExperimentSpec, shares: list) -> list[list[AccuracyTrace]]
 
     # fork, not forkserver or spawn: those start a server or resource tracker
     # that can outlive the command.  No metasyn thread runs here: the noise
-    # producer lives and is joined inside one pulse call.
+    # executor's worker lives and is joined inside one pulse call.
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(len(shares) - 1, mp_context=fork) as pool:
         futures = [pool.submit(_run_share, spec, share) for share in shares[1:]]

@@ -204,13 +204,9 @@ class BehavioralNetwork:
 
     def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
         """Threshold response for a batch of 0/1 input bit vectors, read on
-        the rows with a set bit; a drive exactly at theta does not fire.
-        A batch of one row is the column sum of those rows' efficacy."""
+        the rows with a set bit; a drive exactly at theta does not fire."""
         rows = np.flatnonzero(inputs.any(axis=0))
-        if len(inputs) == 1:
-            votes = self._high(rows).sum(axis=0, keepdims=True)
-        else:
-            votes = inputs[:, rows].astype(np.float64) @ self.efficacy_matrix(rows)
+        votes = inputs[:, rows].astype(np.float64) @ self.efficacy_matrix(rows)
         return (votes > self.cfg.theta).astype(np.uint8)
 
     def retention_reader(self, inputs: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:

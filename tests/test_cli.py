@@ -503,6 +503,19 @@ def test_calibrate_device_writes_the_table_hardware_runs_use(tmp_path, monkeypat
     assert hardware.plateaus.tolist() == table.plateaus.tolist()
 
 
+def test_calibrate_device_writes_a_table_outside_the_ratio_bounds(tmp_path, capsys, monkeypatch):
+    """At g_off = 1e-6 the (high, 0)/(low, 0) ratio is 3.266, below the
+    library's default bounds; run and dump-trace program that table, so
+    calibrate-device writes it too and reports the ratio."""
+    monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
+    cfg = parse_config(TINY + f"hardware = true\ng_off = 1e-6\nout_dir = {tmp_path}\n")
+    assert execute("calibrate-device", cfg) == 0
+    assert "conductance ratio 3.266" in capsys.readouterr().err
+    rows = read_csv(tmp_path / "metastate_table.csv")
+    hardware = init_crossbar(cfg.base, params=cfg.params).table
+    assert [float(r[2]) for r in rows[1:]] == hardware.plateaus.tolist()
+
+
 def test_dump_trace_events(tmp_path, monkeypatch):
     monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
     cfg = parse_config(
@@ -719,6 +732,24 @@ def test_main_rejects_a_device_the_depress_side_breaks(tmp_path, capsys, cmd, de
     )
     assert main([cmd, str(cfgfile)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not any((tmp_path / "out").glob("*.csv"))
+
+
+def test_main_names_the_upper_rail_when_the_pulse_is_too_strong(tmp_path, capsys):
+    # at v_off = 0.7 the half select (0.6 V) holds, but the 1.2 V pulse drives
+    # plateaus 1-5 onto one float64 next to x = 1
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text(
+        TINY + f"hardware = true\nv_off = 0.7\nout_dir = {tmp_path / 'out'}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert "error: plateaus are not strictly increasing at n_levels = 3: plateau 1" in err
+    assert (
+        "the pulse drives the top 5 plateaus into the upper rail, and fewer levels, "
+        "a lower k_off or a higher v_off separates them" in err
+    )
     assert not any((tmp_path / "out").glob("*.csv"))
 
 

@@ -333,9 +333,9 @@ def _integrate_pulse_generic(x, pulse, params, noise=None):
 @pytest.mark.parametrize("amplitude", [1.2, -1.2])
 @pytest.mark.parametrize("sigma", [0.0, 0.25], ids=["quiet", "noisy"])
 def test_lean_heun_stage_equals_the_generic_order(p_exp, thickness, amplitude, sigma):
-    """p = 2 squares x - 0.5 once for both window terms; other powers take
-    the generic stage.  Both give its bits, also with a thickness D folded
-    into the rate constants."""
+    """The kernel's in-place stage, one formula for every window power,
+    gives the bits of the generic operation order at p = 2 and p = 4, also
+    with a thickness D folded into the rate constants."""
     k = DeviceParams().k_off / thickness
     params = DeviceParams(p_exp=p_exp, k_off=k)
     x = np.concatenate([EDGE_STATES, np.random.default_rng(5).random(2000)])
@@ -610,6 +610,23 @@ def test_default_table_takes_at_most_four_trains(params, monkeypatch, n_levels):
     assert max(calls) <= device._CANDIDATES + 2  # round 1 adds both bracket ends
     if n_levels == 3:
         assert table.plateaus.tobytes() == DEFAULT_PLATEAUS.tobytes()
+
+
+@pytest.mark.parametrize(
+    "params, n_levels, most",
+    [
+        pytest.param(DeviceParams.idealized(), 3, 11, id="ideal-3"),
+        pytest.param(DeviceParams.idealized(), 4, 13, id="ideal-4"),
+        pytest.param(_scaled_k(3.0), 3, 8, id="k_off_x3-3"),
+    ],
+)
+def test_poor_root_estimates_still_take_few_trains(monkeypatch, params, n_levels, most):
+    """Where the root estimate is poorest, a later round holds only the
+    nodes that meet its window, and the search still ends in these many
+    trains."""
+    calls = _counting_trains(monkeypatch)
+    _find_anchor(n_levels, PulseSpec(amplitude=1.2), params)
+    assert len(calls) <= most
 
 
 @pytest.mark.parametrize(
