@@ -405,6 +405,10 @@ def execute(cmd: str, cfg: RunConfig) -> int:
     shift = seed_offset()
     if shift:
         _note(f"applying seed offset {shift} from {SEED_OFFSET_VAR}")
+    seeds = (cfg.base.seed,) if cmd == "dump-trace" else cfg.seeds
+    negative = [s for s in seeds if s + shift < 0]
+    if cmd != "calibrate-device" and negative:
+        raise ConfigError(f"{SEED_OFFSET_VAR} = {shift} makes seed {negative[0]} negative")
 
     if cmd == "calibrate-device":
         _require_crossbar_model(cfg.base)

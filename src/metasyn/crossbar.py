@@ -259,6 +259,23 @@ def init_crossbar(
     return Crossbar(BehavioralNetwork.initialize(cfg), params, table, v_read, noise)
 
 
+_LOCKSTEP_STATE_BYTES = 1 << 21  # one 512x512 run, or 16 runs at 128x128
+
+
+def _lockstep_groups(cfgs: list[NetworkConfig]) -> list[list[NetworkConfig]]:
+    """Consecutive runs grouped so that each group's device state (a float64
+    per crosspoint) fits _LOCKSTEP_STATE_BYTES; a larger run goes alone."""
+    groups, used = [], _LOCKSTEP_STATE_BYTES
+    for cfg in cfgs:
+        size = 8 * cfg.n_in * cfg.n_out
+        if used + size > _LOCKSTEP_STATE_BYTES:
+            groups.append([])
+            used = 0
+        groups[-1].append(cfg)
+        used += size
+    return groups
+
+
 def run_lifetime_hw(
     cfg: NetworkConfig | Sequence[NetworkConfig],
     n_patterns: int = 100,
@@ -277,17 +294,25 @@ def run_lifetime_hw(
     names the column decision rule; its only mode, the fixed reference, is
     the one every crossbar uses.
 
-    Given a sequence of configs, the runs go in lockstep through
-    :func:`train_lockstep` and one trace per config comes back, each equal
-    to the trace of that config run alone; an event log needs a single
-    config.
+    Given a sequence of configs, the runs go in the lockstep groups of
+    :func:`_lockstep_groups`, one lifetime loop of :func:`train_lockstep` per
+    group, and no group's crossbars are built before the last group's are
+    dropped.  One trace per config comes back, in config order, equal to the
+    trace of that config alone; an event log needs a single config.
     """
+    if comparator is not None and not isinstance(comparator, ComparatorConfig):
+        raise TypeError(f"comparator must be a ComparatorConfig or None, got {comparator!r}")
     one = isinstance(cfg, NetworkConfig)
     cfgs = [cfg] if one else list(cfg)
-    crossbars = [init_crossbar(c, params=params, noise=noise) for c in cfgs]
-    traces = lifetime_loop(
-        lambda t, pats: train_lockstep(crossbars, pats, log=event_log, step=t),
-        lambda k, rows: crossbars[k].infer_batch(rows),
-        [make_pattern_set(c, n_patterns) for c in cfgs],
-    )
+    if event_log is not None and len(cfgs) != 1:
+        raise ValueError("an event log records the events of one crossbar: pass one config")
+    traces = []
+    for group in _lockstep_groups(cfgs):
+        crossbars = [init_crossbar(c, params=params, noise=noise) for c in group]
+        traces += lifetime_loop(
+            lambda t, pats: train_lockstep(crossbars, pats, log=event_log, step=t),
+            lambda k, rows: crossbars[k].infer_batch(rows),
+            [make_pattern_set(c, n_patterns) for c in group],
+        )
+        del crossbars  # before the next group's are built
     return traces[0] if one else traces

@@ -133,23 +133,6 @@ def threshold_crossing(trace: AccuracyTrace, threshold: float) -> int | None:
 
 Cell = tuple[str, NetworkConfig, bool]
 
-_LOCKSTEP_STATE_BYTES = 1 << 21  # one 512x512 run, or 16 runs at 128x128
-
-
-def _lockstep_groups(cfgs: list[NetworkConfig]) -> list[list[NetworkConfig]]:
-    """Consecutive runs grouped so that each group's device state (a float64
-    per crosspoint) fits _LOCKSTEP_STATE_BYTES; a larger run goes alone."""
-    groups, used = [], _LOCKSTEP_STATE_BYTES
-    for cfg in cfgs:
-        size = 8 * cfg.n_in * cfg.n_out
-        if used + size > _LOCKSTEP_STATE_BYTES:
-            groups.append([])
-            used = 0
-        groups[-1].append(cfg)
-        used += size
-    return groups
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the platform
     has one, else the machine's CPU count."""
@@ -162,16 +145,14 @@ def _run_share(
     spec: ExperimentSpec, share: list[tuple[bool, NetworkConfig]]
 ) -> list[AccuracyTrace]:
     """The traces of one share's (hardware, config) runs: its behavioral runs
-    one by one, then its hardware runs in lockstep groups, in that order."""
+    one by one, then its hardware runs in one run_lifetime_hw call."""
     noise = NoiseModel(sigma=spec.sigma)
     hw_cfgs = [cfg for hw, cfg in share if hw]
-    return [run_lifetime(cfg, n_patterns=spec.n_patterns) for hw, cfg in share if not hw] + [
-        trace
-        for group in _lockstep_groups(hw_cfgs)
-        for trace in run_lifetime_hw(
-            group, n_patterns=spec.n_patterns, params=spec.params, noise=noise
-        )
-    ]
+    return [run_lifetime(cfg, n_patterns=spec.n_patterns) for hw, cfg in share if not hw] + (
+        run_lifetime_hw(hw_cfgs, n_patterns=spec.n_patterns, params=spec.params, noise=noise)
+        if hw_cfgs
+        else []
+    )
 
 
 def _run_shares(spec: ExperimentSpec, shares: list) -> list[list[AccuracyTrace]]:
@@ -213,15 +194,13 @@ def run_cells(
     the usable CPUs and the larger of the behavioral and hardware run
     counts: share i takes every w-th behavioral and every w-th hardware run
     from index i.  The caller runs share 0 and forked workers the others
-    (see _run_shares), so a trace sees the caller's share only.  Within a
-    share the hardware runs go in consecutive lockstep groups whose device
-    state fits _LOCKSTEP_STATE_BYTES, so each programming phase is one
-    pulse call across a group.  Every run builds
-    its streams from its own seed, so its trace is the one it gives alone,
-    whatever the share.  The cells fill the grid's valid entries in
-    row-major order (every entry when valid is None); the others hold NaN.
-    Crossings are computed per seed and the end-of-run accuracies averaged
-    over seeds.
+    (see _run_shares), so a trace sees the caller's share only.  A share's
+    hardware runs go to one run_lifetime_hw call, which programs them in
+    lockstep groups.  Every run builds its streams from its own seed, so its
+    trace is the one it gives alone, whatever the share.  The cells fill the
+    grid's valid entries in row-major order (every entry when valid is
+    None); the others hold NaN.  Crossings are computed per seed and the
+    end-of-run accuracies averaged over seeds.
     """
     labels = [label for label, _, _ in cells]
     repeated = [label for i, label in enumerate(labels) if label in labels[:i]]

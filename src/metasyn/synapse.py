@@ -48,18 +48,17 @@ class MetaState:
 
 
 def transition(state: MetaState, direction: UpdateDirection) -> MetaState:
-    """Advance one synapse state a single step along the chain: the saturating
-    +1 or -1 on the chain index that :func:`transition_arrays` applies to
-    arrays, taken in Python integers so the widest chain's top index cannot
-    wrap.
+    """Advance one synapse state a single step along the chain: the n = 1
+    view of :func:`transition_arrays`.
 
     Potentiation walks toward the high-efficacy end: a low synapse first
     climbs out of its metalevels, flips to high at metalevel 0, then sinks
     into ever deeper high metalevels.  Depression is the exact mirror.  The
     deepest metalevel saturates instead of wrapping.
     """
-    top = 2 * state.n_levels - 1
-    return chain_state(min(max(chain_index(state) + direction.value, 0), top), state.n_levels)
+    index = np.array([chain_index(state)], dtype=np.int64)
+    transition_arrays(index, state.n_levels, direction, np.ones(1, dtype=bool))
+    return chain_state(int(index[0]), state.n_levels)
 
 
 def stochastic_gate(

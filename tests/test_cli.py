@@ -364,6 +364,21 @@ def test_seed_offset_rejects_garbage(monkeypatch):
         seed_offset()
 
 
+@pytest.mark.parametrize("cmd", ["run", "dump-trace"])
+def test_negative_seed_offset_names_the_variable(tmp_path, capsys, monkeypatch, cmd):
+    """An offset that takes a seed below 0 is blamed on the variable, with its
+    value and the first seed it makes negative, before any run or output."""
+    cfgfile = tmp_path / "shift.cfg"
+    cfgfile.write_text(
+        TINY + f"seeds = 3, 0, 1\nseed = 0\nout_dir = {tmp_path / 'out'}\n", encoding="utf-8"
+    )
+    monkeypatch.setenv("METASYN_SEED_OFFSET", "-1")
+    assert main([cmd, str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert "error: METASYN_SEED_OFFSET = -1 makes seed 0 negative" in err
+    assert not any((tmp_path / "out").iterdir())
+
+
 # ---- command execution ---------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Crossbar emulation tests: current summation, comparator references,
 programming protection, and the exact reduction to the behavioral model."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +245,73 @@ def test_lockstep_rejects_what_it_cannot_share():
     pat = make_pattern_set(SMALL, 1)[0]
     with pytest.raises(ValueError, match="share device params"):
         train_lockstep([a, b], [pat, pat])
+
+
+def test_comparator_must_be_a_comparator_config():
+    """A comparator that is not a ComparatorConfig is rejected by name, not
+    replaced by the fixed reference."""
+    with pytest.raises(TypeError, match="ComparatorConfig"):
+        run_lifetime_hw(NetworkConfig(n_in=16, n_out=16), 3, comparator="replica-column-please")
+    default = run_lifetime_hw(SMALL, 3)
+    fixed = run_lifetime_hw(SMALL, 3, comparator=ComparatorConfig(ComparatorMode.FIXED_REFERENCE))
+    assert default.mean.tobytes() == fixed.mean.tobytes()
+
+
+# A 16x16 run takes 2,048 bytes of device state and a 24x24 run 4,608, so a
+# budget of one 24x24 run fits two 16x16 runs.
+GROUPED = [
+    NetworkConfig(n_in=16, n_out=16, connectivity=0.5, activity=0.5, seed=1),
+    NetworkConfig(n_in=16, n_out=16, model=Model.BINARY, q=0.6, seed=2),
+    NetworkConfig(n_in=24, n_out=24, connectivity=0.5, activity=0.5, seed=3),
+    NetworkConfig(n_in=16, n_out=16, updates_per_pattern=3, q=0.5, seed=4),
+]
+
+
+def test_sequence_form_builds_one_group_at_a_time(monkeypatch):
+    """With the budget cut to one 24x24 run, a sequence runs as the groups
+    [16, 16], [24] and [16]: one lifetime loop per group, each group's
+    crossbars built only once the last group's are gone, and every trace
+    the one its config gives alone."""
+    alive = weakref.WeakSet()
+    alive_at_build, alive_at_loop = [], []
+
+    def build(cfg, **kwargs):
+        gc.collect()
+        alive_at_build.append(len(alive))
+        xb = crossbar_init(cfg, **kwargs)
+        alive.add(xb)
+        return xb
+
+    def loop(*args):
+        alive_at_loop.append(len(alive))
+        return lifetime_loop(*args)
+
+    crossbar_init, lifetime_loop = crossbar.init_crossbar, crossbar.lifetime_loop
+    monkeypatch.setattr(crossbar, "_LOCKSTEP_STATE_BYTES", 8 * 24 * 24)
+    monkeypatch.setattr(crossbar, "init_crossbar", build)
+    monkeypatch.setattr(crossbar, "lifetime_loop", loop)
+    traces = run_lifetime_hw(GROUPED, n_patterns=8)
+    assert alive_at_loop == [2, 1, 1]
+    assert alive_at_build == [0, 1, 0, 0]
+    monkeypatch.undo()
+    for cfg, trace in zip(GROUPED, traces, strict=True):
+        alone = run_lifetime_hw(cfg, n_patterns=8)
+        assert trace.learning.tobytes() == alone.learning.tobytes()
+        assert trace.mean.tobytes() == alone.mean.tobytes()
+
+
+def test_event_log_needs_one_config_whatever_the_groups(monkeypatch):
+    """Two runs each over the budget would go in groups of one, where
+    train_lockstep would take the log; run_lifetime_hw rejects the log up
+    front, before it builds a crossbar."""
+    built = []
+    monkeypatch.setattr(crossbar, "_LOCKSTEP_STATE_BYTES", 8 * 24 * 24)
+    monkeypatch.setattr(crossbar, "init_crossbar", lambda *a, **k: built.append(a))
+    log = EventLog()
+    big = NetworkConfig(n_in=32, n_out=32)
+    with pytest.raises(ValueError, match="one crossbar"):
+        run_lifetime_hw([big, replace(big, seed=1)], n_patterns=2, event_log=log)
+    assert built == [] and len(log) == 0
 
 
 @pytest.mark.parametrize("cfgs", [SMALL, [SMALL], [SMALL, SMALL]], ids=["one", "list1", "list2"])

@@ -15,7 +15,7 @@ from metasyn.experiments import (
     sweep_size,
     threshold_crossing,
 )
-from metasyn import device, experiments
+from metasyn import crossbar, device, experiments
 from metasyn.crossbar import run_lifetime_hw
 from metasyn.device import CalibrationError, NoiseModel
 from metasyn.network import AccuracyTrace, Model, NetworkConfig
@@ -283,24 +283,32 @@ def test_lockstep_traces_equal_independent_runs(experiment, sigma, rule):
 
 
 def test_lockstep_groups_fit_the_budget(monkeypatch):
-    """With a smaller device-state budget run_cells splits each share's
+    """With a smaller device-state budget run_lifetime_hw splits each share's
     hardware runs into consecutive groups; no group exceeds the budget and
-    every trace is byte-identical to the single-group run.  The spy sees
+    every trace is byte-identical to the single-group run.  The spies see
     the calling process only, which runs share 0: runs 0, w, 2w, ... of
-    16, 16, 16, 24, 24, 24 (2,048 bytes of device state at 16, 4,608 at 24)."""
+    16, 16, 16, 24, 24, 24 (2,048 bytes of device state at 16, 4,608 at 24).
+    A group is the crossbars built before each lifetime loop."""
     spec = ExperimentSpec(
         base=LOCKSTEP_BASE, seeds=(0, 1, 2), n_patterns=8, hardware=True, size_grid=(16, 24)
     )
     whole = sweep_size(spec)
     budget = 2 * 8 * 24 * 24
-    groups = []
+    built, groups = [], []
+    init, loop = crossbar.init_crossbar, crossbar.lifetime_loop
 
-    def spy(cfgs, **kwargs):
-        groups.append([8 * c.n_in * c.n_out for c in cfgs])
-        return run_lifetime_hw(cfgs, **kwargs)
+    def build(cfg, **kwargs):
+        built.append(8 * cfg.n_in * cfg.n_out)
+        return init(cfg, **kwargs)
 
-    monkeypatch.setattr(experiments, "_LOCKSTEP_STATE_BYTES", budget)
-    monkeypatch.setattr(experiments, "run_lifetime_hw", spy)
+    def run_group(*args):
+        groups.append(built[:])
+        built.clear()
+        return loop(*args)
+
+    monkeypatch.setattr(crossbar, "_LOCKSTEP_STATE_BYTES", budget)
+    monkeypatch.setattr(crossbar, "init_crossbar", build)
+    monkeypatch.setattr(crossbar, "lifetime_loop", run_group)
     for shares, caller_groups in ((1, [3, 2, 1]), (2, [3]), (3, [2])):
         groups.clear()
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: shares)
@@ -316,7 +324,7 @@ def test_lockstep_groups_fit_the_budget(monkeypatch):
 def test_lockstep_groups_keep_benchmark_runs_together():
     """A six-run 128x128 hardware compare and one 512x512 run each stay one
     lockstep group; a run larger than the budget goes alone."""
-    group = experiments._lockstep_groups
+    group = crossbar._lockstep_groups
     assert len(group([NetworkConfig()] * 6)) == 1
     assert len(group([NetworkConfig(n_in=512, n_out=512)])) == 1
     big = NetworkConfig(n_in=1024, n_out=1024)
