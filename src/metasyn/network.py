@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -49,15 +50,21 @@ class NetworkConfig:
     learning_rate: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("n_in", "n_out", "n_levels", "seed", "updates_per_pattern"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_in < 1 or self.n_out < 1:
             raise ValueError("n_in and n_out must be >= 1")
         if not 0.0 < self.connectivity <= 1.0:
             raise ValueError(f"connectivity must lie in (0, 1], got {self.connectivity}")
         if not 0.0 < self.activity < 1.0:
             raise ValueError(f"activity must lie in (0, 1), got {self.activity}")
-        # chain indices up to 2 * n_levels - 1 are stored as int64
-        if not 1 <= self.n_levels <= 2**62:
-            raise ValueError(f"n_levels must lie in [1, 2**62], got {self.n_levels}")
+        if not 1 <= self.n_levels <= 64:
+            raise ValueError(
+                f"n_levels must lie in [1, 64], got {self.n_levels}: chain indices up to "
+                "2 * n_levels - 1 are stored as int8, and retention saturates by 4-5 levels"
+            )
         if self.updates_per_pattern < 1:
             raise ValueError("updates_per_pattern must be >= 1")
         if not 0.0 < self.q <= 1.0:
@@ -185,7 +192,7 @@ class BehavioralNetwork:
         mask = np.zeros(cfg.n_in * cfg.n_out, dtype=bool)
         mask[flat] = True
         mask = mask.reshape(cfg.n_in, cfg.n_out)
-        state = np.full((cfg.n_in, cfg.n_out), cfg.effective_levels - 1, dtype=np.int64)
+        state = np.full((cfg.n_in, cfg.n_out), cfg.effective_levels - 1, dtype=np.int8)
         weights = None
         if cfg.model is Model.GRADIENT:
             weights = np.where(mask, rng.uniform(0.0, 1.0, mask.shape), 0.0)
@@ -239,17 +246,26 @@ class BehavioralNetwork:
 
         return read
 
+    def fires(self, rows: np.ndarray) -> np.ndarray:
+        """Threshold response of one 0/1 input pattern, given its active
+        rows: each column's count of high synapses on those rows against
+        theta, the bits forward_batch gives that pattern."""
+        return self._high(rows).sum(axis=0) > self.cfg.theta
+
     def train_on_pattern(self, pat: Pattern) -> None:
         """Up to updates_per_pattern correction rounds on one pattern; stops
         as soon as every output bit matches."""
-        correct_pattern([self], lambda k, rows: self.forward_batch(rows), self._step, [pat])
+        rows = np.flatnonzero(pat.input_bits)
+        correct_pattern([self], lambda k, _: self.fires(rows)[np.newaxis], self._step, [pat])
 
     def _step(self, phases: list[tuple[UpdateDirection, list[np.ndarray | None]]]) -> None:
-        for direction, (select,) in phases:
-            if self.cfg.model is Model.GRADIENT:
+        if self.cfg.model is Model.GRADIENT:
+            for direction, (select,) in phases:
                 gradient_step(self.weights, direction, select, self.cfg.learning_rate)
-            else:
-                transition_arrays(self.state, self.cfg.effective_levels, direction, select)
+        else:
+            n_levels = self.cfg.effective_levels
+            for direction, (select,) in phases:
+                transition_arrays(self.state, n_levels, direction, select)
 
 
 def correct_pattern(
@@ -274,9 +290,7 @@ def correct_pattern(
     columns.  Each run draws from its own streams in the order it would
     alone, so lockstep changes no number.
     """
-    actives = [
-        run.mask & pat.input_bits.astype(bool)[:, np.newaxis] for run, pat in zip(runs, pats)
-    ]
+    actives = {}  # run k's connected synapses on active rows, once it has an error
     targets = [pat.target_bits.astype(np.int8) for pat in pats]
     live = list(range(len(runs)))
     for round_ in range(max((run.cfg.updates_per_pattern for run in runs), default=0)):
@@ -293,6 +307,8 @@ def correct_pattern(
         for direction in (UpdateDirection.POTENTIATE, UpdateDirection.DEPRESS):
             selects: list[np.ndarray | None] = [None] * len(runs)
             for k in live:
+                if k not in actives:
+                    actives[k] = runs[k].mask & pats[k].input_bits.astype(bool)[:, np.newaxis]
                 select = actives[k] & (errs[k] == direction.value)[np.newaxis, :]
                 selects[k] = stochastic_gate(select, runs[k].cfg.q, runs[k].train_rng)
             phases.append((direction, selects))
@@ -318,15 +334,17 @@ def lifetime_loop(
         raise ValueError("runs in lockstep must present equally many patterns")
     inputs = [np.stack([p.input_bits for p in ps]) for ps in pattern_sets]
     targets = [np.stack([p.target_bits for p in ps]) for ps in pattern_sets]
+    ones = [np.ones(tg.shape[1]) for tg in targets]
     traces = [AccuracyTrace(learning=np.empty(n), mean=np.empty(n)) for _ in pattern_sets]
     for t in range(n):
         net_step(t, [patterns[t] for patterns in pattern_sets])
         for k, trace in enumerate(traces):
             outputs = infer_batch(k, inputs[k][: t + 1])
-            # the same bits as the two np.mean calls: a count is exact in
-            # float64, so it takes the one rounding of mean(axis=1), and
-            # acc.sum() is np.mean's own pairwise sum before its division
-            acc = np.count_nonzero(outputs == targets[k][: t + 1], axis=1) / outputs.shape[1]
+            # the same bits as the two np.mean calls: a count of matching
+            # bits, summed as a product with ones, is an integer <= n_out and
+            # so exact in float64; it takes the one rounding of mean(axis=1),
+            # and acc.sum() is np.mean's own pairwise sum before its division
+            acc = ((outputs == targets[k][: t + 1]) @ ones[k]) / outputs.shape[1]
             trace.learning[t] = acc[t]
             trace.mean[t] = acc.sum() / (t + 1)
     return traces

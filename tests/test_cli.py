@@ -614,14 +614,18 @@ def test_metastate_table_bytes(tmp_path, monkeypatch):
 
 
 def test_run_with_chain_past_int8(tmp_path, capsys, monkeypatch):
-    # n_levels >= 129 used to end in an uncaught OverflowError traceback
+    # chain indices are int8, so a chain past 64 levels is a config error
+    # on its own line, not a traceback from deep inside a run
     monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
+    text = TINY + f"n_levels = 65\nout_dir = {tmp_path / 'out'}\n"
     cfgfile = tmp_path / "long.cfg"
-    cfgfile.write_text(
-        TINY + f"n_levels = 129\nout_dir = {tmp_path / 'out'}\n", encoding="utf-8"
-    )
-    assert main(["run", str(cfgfile)]) == 0
-    assert "traces.csv" in capsys.readouterr().out
+    cfgfile.write_text(text, encoding="utf-8")
+    assert main(["run", str(cfgfile)]) == 1
+    out, err = capsys.readouterr()
+    line = text.splitlines().index("n_levels = 65") + 1
+    assert err.startswith(f"error: line {line}: 'n_levels' rejected: n_levels must lie in [1, 64]")
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "out").exists()
 
 
 # At C = f = 0.25 programming noise moves none of the five accuracies of a

@@ -46,16 +46,43 @@ def test_config_validation():
 
 
 def test_chain_longer_than_int8_runs():
-    """n_levels = 129 puts chain index 2n - 1 = 257 past int8.  In 20
-    patterns no synapse moves more than 20 steps from metalevel 0, so the
-    chain end is never reached and the trace equals a longer chain's."""
-    cfg = NetworkConfig(n_in=32, n_out=32, n_levels=129, seed=3)
+    """n_levels = 64 puts chain index 2n - 1 = 127 at the top of int8.  In
+    20 patterns no synapse moves more than 20 steps from metalevel 0, so
+    the chain end is never reached and the trace equals a 30-level chain's.
+    One level more does not fit, and is rejected by name."""
+    cfg = NetworkConfig(n_in=32, n_out=32, n_levels=64, seed=3)
     a = run_lifetime(cfg, n_patterns=20)
-    b = run_lifetime(replace(cfg, n_levels=300), n_patterns=20)
+    b = run_lifetime(replace(cfg, n_levels=30), n_patterns=20)
     assert a.learning.tobytes() == b.learning.tobytes()
     assert a.mean.tobytes() == b.mean.tobytes()
-    with pytest.raises(ValueError, match="n_levels"):
-        NetworkConfig(n_levels=2**62 + 1)
+    with pytest.raises(ValueError, match=r"n_levels must lie in \[1, 64\].*int8"):
+        NetworkConfig(n_levels=65)
+
+
+@pytest.mark.parametrize(
+    "field", ["n_in", "n_out", "n_levels", "seed", "updates_per_pattern"]
+)
+@pytest.mark.parametrize("value", [3.5, 4.0, True])
+def test_integer_fields_reject_non_integers(field, value):
+    """A fractional n_levels once ran as a lopsided 7-state chain, and the
+    other counts failed deep inside numpy; each is now rejected by name."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        NetworkConfig(**{field: value})
+    assert getattr(NetworkConfig(**{field: np.int64(4)}), field) == 4
+
+
+def test_chain_indices_saturate_at_the_int8_ends():
+    """At the widest chain the top index is 127, the int8 maximum: 130
+    potentiations leave every connected synapse there, none wrapped
+    negative, and 130 depressions leave each at 0."""
+    net = BehavioralNetwork.initialize(NetworkConfig(n_in=16, n_out=16, n_levels=64))
+    assert net.state.dtype == np.int8
+    pruned = net.state[~net.mask].copy()
+    for direction, end in ((UpdateDirection.POTENTIATE, 127), (UpdateDirection.DEPRESS, 0)):
+        for _ in range(130):
+            net._step([(direction, [net.mask])])
+        assert np.all(net.state[net.mask] == end)
+        assert np.array_equal(net.state[~net.mask], pruned)
 
 
 def test_effective_levels():
@@ -181,6 +208,37 @@ def test_forward_batch_equals_dense_product(model):
         out = net.forward_batch(batch)
         assert out.dtype == dense.dtype and out.shape == dense.shape
         assert out.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_training_read_equals_forward_batch(model):
+    """train_on_pattern reads its one pattern as per-column counts of high
+    synapses on the active rows; on random states that is forward_batch's
+    read, including a column at exactly theta (which does not fire) and an
+    all-zero input."""
+    cfg = NetworkConfig(n_in=16, n_out=12, connectivity=0.5, activity=0.5, model=model, seed=4)
+    assert cfg.theta == 2.0
+    net = BehavioralNetwork.initialize(cfg)
+    rng = np.random.default_rng(1)
+    x = np.zeros(cfg.n_in, dtype=np.uint8)
+    x[:8] = 1
+    for _ in range(20):
+        if model is Model.GRADIENT:
+            net.weights[:] = rng.uniform(0.0, 1.0, net.weights.shape)
+            net.weights[:, 0] = 0.0
+            net.weights[:2, 0] = 1.0  # two high synapses on active rows: theta exactly
+        else:
+            n = cfg.effective_levels
+            net.state[:] = rng.integers(0, 2 * n, net.state.shape)
+            net.state[:, 0] = n - 1
+            net.state[:2, 0] = n
+        bits = (rng.random((4, cfg.n_in)) < 0.5).astype(np.uint8)
+        bits[0] = 0
+        bits[1] = x
+        for row in bits:
+            fired = net.fires(np.flatnonzero(row))
+            assert fired.astype(np.uint8).tobytes() == net.forward_batch(row[None])[0].tobytes()
+        assert not net.fires(np.flatnonzero(x))[0]
 
 
 # ---- training ----------------------------------------------------------------------
