@@ -414,8 +414,7 @@ def execute(cmd: str, cfg: RunConfig) -> int:
         _require_crossbar_model(cfg.base)
         levels = cfg.base.effective_levels  # the table this config's hardware runs use
         _note(f"calibrating {2 * levels}-state chain")
-        # unbounded, like every hardware run, which programs any ratio
-        table = calibrate_metastate_table(cfg.params, n_levels=levels, ratio_bounds=None)
+        table = calibrate_metastate_table(cfg.params, n_levels=levels)
         _note(f"(high, 0)/(low, 0) conductance ratio {metastate_ratio(table, cfg.params):.3f}")
         paths = [out / "metastate_table.csv"]
         write_metastate_table_csv(paths[0], table, cfg.params)

@@ -41,6 +41,8 @@ from .network import (
 )
 from .synapse import UpdateDirection
 
+_V_READ = 0.3  # volts on every column read; below v_off, so a read moves nothing
+
 
 class ComparatorMode(str, Enum):
     FIXED_REFERENCE = "fixed_reference"
@@ -107,32 +109,33 @@ class Crossbar:
         net: BehavioralNetwork,
         params: DeviceParams,
         table: MetastateTable,
-        v_read: float = 0.3,
         noise: NoiseModel | None = None,
     ):
         _require_crossbar_model(net.cfg)
-        if not 0.0 < v_read < params.v_off:
-            raise ValueError(f"v_read must lie in (0, v_off = {params.v_off}), got {v_read}")
+        if not _V_READ < params.v_off:
+            raise ValueError(f"v_off must exceed the {_V_READ} V read voltage, got {params.v_off}")
         self.v_half = abs(table.pulse.amplitude) / 2.0
         if not self.v_half < params.v_off:
             raise ValueError("half-select voltage must stay below v_off")
         if noise is not None:
+            if not isinstance(noise, NoiseModel):  # catches a read voltage passed positionally
+                raise TypeError(f"noise must be a NoiseModel or None, got {noise!r}")
             if noise.rng_seed is not None:
                 raise ValueError(
                     "a hardware run draws noise from its own seed's stream, so its "
                     "noise model must leave rng_seed unset"
                 )
-            noise = replace(noise, rng_seed=seed_streams(net.cfg.seed)["noise"], _rng=None)
+            noise = replace(noise, rng_seed=seed_streams(net.cfg.seed)["noise"])
         self.noise = noise
         self.cfg, self.mask, self.train_rng = net.cfg, net.mask, net.train_rng
         self.x = np.where(net.mask, table.plateaus[net.state], 0.0)
         self.params = params
         self.table = table
-        self.v_read = v_read
+        self.v_read = _V_READ
         # The reference operating point is resolved once, at the initial
         # state; at extreme connectivity/activity corners it may lie beyond
         # any current a column can reach.
-        self.i_ref = reference_current_level(table, params, net.cfg, v_read)
+        self.i_ref = reference_current_level(table, params, net.cfg)
 
     # ---- read path -----------------------------------------------------
 
@@ -213,10 +216,7 @@ def train_lockstep(
 
 
 def reference_current_level(
-    table: MetastateTable,
-    params: DeviceParams,
-    cfg: NetworkConfig,
-    v_read: float,
+    table: MetastateTable, params: DeviceParams, cfg: NetworkConfig
 ) -> float:
     """Column current that separates theta from theta+1 active high synapses.
 
@@ -236,13 +236,12 @@ def reference_current_level(
     active_connected = n_active * density
     active_pruned = n_active - active_connected
     background = active_connected * g_low + active_pruned * params.g_off
-    return v_read * ((np.floor(cfg.theta) + 0.5) * (g_high - g_low) + background)
+    return _V_READ * ((np.floor(cfg.theta) + 0.5) * (g_high - g_low) + background)
 
 
 def init_crossbar(
     cfg: NetworkConfig,
     params: DeviceParams | None = None,
-    v_read: float = 0.3,
     noise: NoiseModel | None = None,
 ) -> Crossbar:
     """Build a crossbar mirroring the behavioral network's initial state.
@@ -255,8 +254,8 @@ def init_crossbar(
     _require_crossbar_model(cfg)  # before the calibration, which costs most
     if params is None:
         params = DeviceParams.default()
-    table = calibrate_metastate_table(params, n_levels=cfg.effective_levels, ratio_bounds=None)
-    return Crossbar(BehavioralNetwork.initialize(cfg), params, table, v_read, noise)
+    table = calibrate_metastate_table(params, n_levels=cfg.effective_levels)
+    return Crossbar(BehavioralNetwork.initialize(cfg), params, table, noise)
 
 
 _LOCKSTEP_STATE_BYTES = 1 << 21  # one 512x512 run, or 16 runs at 128x128

@@ -156,7 +156,7 @@ class NoiseModel:
 
     sigma: float = 0.25
     rng_seed: int | np.random.SeedSequence | None = None
-    _rng: np.random.Generator | None = field(default=None, repr=False)
+    _rng: np.random.Generator | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # written so that NaN fails too, instead of reading as noise off
@@ -529,12 +529,16 @@ def _find_anchor(n_levels: int, pulse: PulseSpec, params: DeviceParams) -> np.nd
         window = _root_window(xs, gs, int(np.searchsorted(xs, lo)))
 
 
+# the programming pulse (potentiating sign) every table is calibrated for
+_PROGRAMMING_PULSE = PulseSpec(amplitude=1.2)
+
+
 @functools.lru_cache(maxsize=128)
-def _calibrated_table(params: DeviceParams, n_levels: int, pulse: PulseSpec) -> MetastateTable:
-    """The plateau table of one device, chain length and pulse, computed
-    once per process.  Its plateaus are read-only because every caller
-    shares them; a failed calibration raises and is not cached."""
-    plateaus = _find_anchor(n_levels, pulse, params)
+def _calibrated_table(params: DeviceParams, n_levels: int) -> MetastateTable:
+    """The plateau table of one device and chain length, computed once per
+    process.  Its plateaus are read-only because every caller shares them;
+    a failed calibration raises and is not cached."""
+    plateaus = _find_anchor(n_levels, _PROGRAMMING_PULSE, params)
     rising = np.diff(plateaus) > 0.0
     if not np.all(rising):
         # a pulse never moves a state down, and one from a tied plateau lands
@@ -550,41 +554,25 @@ def _calibrated_table(params: DeviceParams, n_levels: int, pulse: PulseSpec) -> 
     if not (0.0 < plateaus[0] and plateaus[-1] < 1.0):
         raise CalibrationError("a plateau lies on a rail of the state range")
     plateaus.flags.writeable = False
-    return MetastateTable(n_levels=n_levels, plateaus=plateaus, pulse=pulse)
+    return MetastateTable(n_levels=n_levels, plateaus=plateaus, pulse=_PROGRAMMING_PULSE)
 
 
-def calibrate_metastate_table(
-    params: DeviceParams,
-    n_levels: int = 3,
-    pulse: PulseSpec | None = None,
-    ratio_bounds: tuple[float, float] | None = (3.5, 5.5),
-) -> MetastateTable:
+def calibrate_metastate_table(params: DeviceParams, n_levels: int = 3) -> MetastateTable:
     """Derive the plateau table from a noise-free train of programming pulses.
 
     Starting at the bottom anchor, each pulse lands on the next plateau, so
     the chain adjacency holds for potentiation by construction.  Fails when
-    the plateaus are not strictly increasing, when one lies on a rail
-    (x = 0 or 1), or when the conductance ratio between (high, 0) and
-    (low, 0) leaves ratio_bounds.
+    the plateaus are not strictly increasing or when one lies on a rail
+    (x = 0 or 1); any (high, 0)/(low, 0) conductance ratio is accepted.
 
-    The table is memoized per process on (params, n_levels, pulse): repeat
-    calls return the same table, whose plateaus are shared and read-only.
-    ratio_bounds is checked on every call.
+    The table is memoized per process on (params, n_levels): repeat calls
+    return the same table, whose plateaus are shared and read-only.
     """
     if n_levels < 1:
         raise CalibrationError(f"n_levels must be >= 1, got {n_levels}")
-    if pulse is None:
-        pulse = PulseSpec(amplitude=1.2)
-    if pulse.amplitude <= params.v_off:
+    if _PROGRAMMING_PULSE.amplitude <= params.v_off:
         raise CalibrationError("programming amplitude must exceed v_off")
-    table = _calibrated_table(params, n_levels, pulse)
-    if ratio_bounds is not None:
-        ratio = metastate_ratio(table, params)
-        if not ratio_bounds[0] <= ratio <= ratio_bounds[1]:
-            raise CalibrationError(
-                f"conductance ratio {ratio:.3f} outside {ratio_bounds}"
-            )
-    return table
+    return _calibrated_table(params, n_levels)
 
 
 def flip_conductances(table: MetastateTable, params: DeviceParams) -> tuple[float, float]:

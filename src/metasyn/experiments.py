@@ -17,7 +17,7 @@ import numpy as np
 from . import crossbar
 from .crossbar import run_lifetime_hw
 from .device import DeviceParams, NoiseModel
-from .network import AccuracyTrace, Model, NetworkConfig, run_lifetime
+from .network import AccuracyTrace, Model, NetworkConfig, _check_n_patterns, run_lifetime
 
 
 # entry-wise range of each grid: (description, check); NaN fails every check
@@ -61,8 +61,7 @@ class ExperimentSpec:
                     raise ValueError(f"{name} entries must be {bound}, got {v}")
                 if v in values[:i]:
                     raise ValueError(f"{name} entries must not repeat, got {v} twice")
-        if self.n_patterns < 1:
-            raise ValueError("n_patterns must be >= 1")
+        _check_n_patterns(self.n_patterns)
         if not 0.0 < self.mean_threshold < 1.0:
             raise ValueError("mean_threshold must lie in (0, 1)")
         NoiseModel(sigma=self.sigma)  # the noise model checks sigma
@@ -169,7 +168,7 @@ def _run_shares(spec: ExperimentSpec, shares: list) -> list[list[AccuracyTrace]]
         return [_run_share(spec, shares[0])]
     for n_levels in sorted({cfg.effective_levels for share in shares for hw, cfg in share if hw}):
         # the crossbar module's name, the one init_crossbar calls
-        crossbar.calibrate_metastate_table(spec.params, n_levels=n_levels, ratio_bounds=None)
+        crossbar.calibrate_metastate_table(spec.params, n_levels=n_levels)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -244,6 +243,7 @@ def run_comparison(spec: ExperimentSpec, models: tuple[Model, ...] = tuple(Model
     over all seeds and compute crossing statistics and the multistate
     over binary crossing ratio.  Hardware needs at least one model with a
     crossbar; the gradient model alone is rejected."""
+    models = [Model(m) for m in models]
     if len(models) < 1:
         raise ValueError("at least one model is required")
     if spec.hardware and set(models) == {Model.GRADIENT}:

@@ -151,6 +151,12 @@ def _pattern_arrays(
     return inputs, targets
 
 
+def _check_n_patterns(count) -> None:
+    """Reject a pattern count that is not an integer >= 1, by name."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"n_patterns must be an integer >= 1, got {count!r}")
+
+
 def make_pattern_set(cfg: NetworkConfig, count: int) -> list[Pattern]:
     """The run's input/target pairs, derived deterministically from cfg.seed.
 
@@ -158,8 +164,7 @@ def make_pattern_set(cfg: NetworkConfig, count: int) -> list[Pattern]:
     one set: it is memoized per process on (n_in, n_out, activity, seed,
     count), and each call returns a fresh list of read-only pattern rows.
     """
-    if count < 1:
-        raise ValueError(f"n_patterns must be >= 1, got {count}")
+    _check_n_patterns(count)
     inputs, targets = _pattern_arrays(cfg.n_in, cfg.n_out, cfg.activity, cfg.seed, count)
     return [Pattern(i, t) for i, t in zip(inputs, targets)]
 

@@ -519,9 +519,10 @@ def test_calibrate_device_writes_the_table_hardware_runs_use(tmp_path, monkeypat
 
 
 def test_calibrate_device_writes_a_table_outside_the_ratio_bounds(tmp_path, capsys, monkeypatch):
-    """At g_off = 1e-6 the (high, 0)/(low, 0) ratio is 3.266, below the
-    library's default bounds; run and dump-trace program that table, so
-    calibrate-device writes it too and reports the ratio."""
+    """At g_off = 1e-6 the (high, 0)/(low, 0) ratio is 3.266, which the
+    library's calibration used to reject by default; run and dump-trace
+    program that table, so calibrate-device writes it too and reports the
+    ratio, and the library returns the same table."""
     monkeypatch.delenv("METASYN_SEED_OFFSET", raising=False)
     cfg = parse_config(TINY + f"hardware = true\ng_off = 1e-6\nout_dir = {tmp_path}\n")
     assert execute("calibrate-device", cfg) == 0
@@ -529,6 +530,7 @@ def test_calibrate_device_writes_a_table_outside_the_ratio_bounds(tmp_path, caps
     rows = read_csv(tmp_path / "metastate_table.csv")
     hardware = init_crossbar(cfg.base, params=cfg.params).table
     assert [float(r[2]) for r in rows[1:]] == hardware.plateaus.tolist()
+    assert calibrate_metastate_table(DeviceParams(g_off=1e-6)) is hardware
 
 
 def test_dump_trace_events(tmp_path, monkeypatch):
@@ -737,8 +739,10 @@ def test_main_rejects_gradient_calibrate_device(tmp_path, capsys, monkeypatch):
         ("run", "v_off = 1.5\n", "programming amplitude must exceed v_off"),
         # k_off keeps the 1.2 V drive near the default's, so the table calibrates
         ("run", "v_off = 0.5\nk_off = 2.0e4\n", "half-select voltage must stay below v_off"),
+        # every read is at 0.3 V, so a threshold below it would be moved by reads
+        ("run", "v_off = 0.25\nk_off = 1.0e3\n", "v_off must exceed the 0.3 V read voltage"),
     ],
-    ids=["calibrate-pulse", "run-pulse", "run-half-select"],
+    ids=["calibrate-pulse", "run-pulse", "run-half-select", "run-read"],
 )
 def test_main_rejects_a_device_the_depress_side_breaks(tmp_path, capsys, cmd, device, message):
     # the reset threshold is -v_off: at v_off = 1.5 the -1.2 V depress pulse
@@ -750,7 +754,9 @@ def test_main_rejects_a_device_the_depress_side_breaks(tmp_path, capsys, cmd, de
         encoding="utf-8",
     )
     assert main([cmd, str(cfgfile)]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "v_read" not in err
     assert not any((tmp_path / "out").glob("*.csv"))
 
 

@@ -97,7 +97,7 @@ def test_adding_active_rows_never_decreases_current(xb_small):
 
 def test_fixed_reference_is_calibrated_level(xb_small):
     xb = xb_small
-    level = reference_current_level(xb.table, xb.params, xb.cfg, xb.v_read)
+    level = reference_current_level(xb.table, xb.params, xb.cfg)
     assert xb.i_ref == pytest.approx(level, rel=1e-12)
     # every column fires exactly when its current exceeds that one level
     inputs = (np.random.default_rng(1).random((30, 5)) < 0.5).astype(np.uint8)
@@ -186,7 +186,7 @@ def test_nan_sigma_rejected_before_a_hardware_run():
         run_lifetime_hw(SMALL, n_patterns=2, noise=NoiseModel(sigma=float("nan")))
 
 
-@pytest.mark.parametrize("n_patterns", [0, -1])
+@pytest.mark.parametrize("n_patterns", [0, -1, 2.5])
 def test_run_lifetime_hw_rejects_no_patterns(n_patterns):
     with pytest.raises(ValueError, match="n_patterns"):
         run_lifetime_hw(SMALL, n_patterns=n_patterns)
@@ -537,10 +537,22 @@ def test_one_metalevel_default_device_with_exact_background_is_behavioral(monkey
 
 
 def test_read_voltage_must_stay_subthreshold():
-    # at -0.3 V every decision inverted, and at 0 V no column ever fired
-    for v_read in (1.5, -0.3, 0.0, float("nan")):
-        with pytest.raises(ValueError, match="v_read"):
-            init_crossbar(SMALL, v_read=v_read)
+    # every read is at 0.3 V, so a device whose threshold lies at or below
+    # it would be moved by reads; k_off keeps the table calibrating
+    assert crossbar._V_READ == 0.3
+    for v_off in (0.25, 0.3):
+        message = rf"^v_off must exceed the 0.3 V read voltage, got {v_off}$"
+        with pytest.raises(ValueError, match=message):
+            init_crossbar(SMALL, params=DeviceParams(v_off=v_off, k_off=1.0e3))
+
+
+def test_a_read_voltage_in_the_noise_place_is_rejected(xb_small):
+    # the read voltage is no parameter now, so an old positional call would
+    # pass it as the noise model
+    with pytest.raises(TypeError, match=r"^noise must be a NoiseModel or None, got 0\.3$"):
+        init_crossbar(SMALL, None, 0.3)
+    with pytest.raises(TypeError, match="noise"):
+        Crossbar(BehavioralNetwork.initialize(SMALL), xb_small.params, xb_small.table, 0.3)
 
 
 def test_half_select_must_stay_subthreshold_on_the_depress_side():

@@ -170,10 +170,8 @@ def test_default_calibration_frozen(params, table):
 
 
 def test_ideal_calibration_frozen():
-    # zero off-conductance blows up the on/off ratio on purpose, so the
-    # realistic-ratio guard does not apply to this profile
     params = DeviceParams.idealized()
-    table = calibrate_metastate_table(params, ratio_bounds=None)
+    table = calibrate_metastate_table(params)
     np.testing.assert_allclose(table.plateaus, IDEAL_PLATEAUS, rtol=1e-9)
 
 
@@ -204,14 +202,7 @@ def test_calibration_needs_a_pulse_past_both_thresholds(sign):
     xs = np.array([0.25, 0.5, 0.75])
     assert integrate_pulse(xs, PulseSpec(amplitude=sign * 1.2), params).tobytes() == xs.tobytes()
     with pytest.raises(CalibrationError, match="^programming amplitude must exceed v_off$"):
-        calibrate_metastate_table(params, ratio_bounds=None)
-
-
-def test_calibration_ratio_guard(params):
-    # an unreachable ratio band must fail loudly, not silently mis-ship
-    with pytest.raises(CalibrationError):
-        calibrate_metastate_table(params, ratio_bounds=(100.0, 200.0))
-
+        calibrate_metastate_table(params)
 
 
 # ---- bit-identity with the scalar references ----------------------------------
@@ -605,7 +596,7 @@ def _counting_trains(monkeypatch, make=None):
 @pytest.mark.parametrize("n_levels", [1, 3])
 def test_default_table_takes_at_most_four_trains(params, monkeypatch, n_levels):
     calls = _counting_trains(monkeypatch)
-    table = device._calibrated_table.__wrapped__(params, n_levels, PulseSpec(amplitude=1.2))
+    table = device._calibrated_table.__wrapped__(params, n_levels)
     assert 1 <= len(calls) <= 4
     assert max(calls) <= device._CANDIDATES + 2  # round 1 adds both bracket ends
     if n_levels == 3:
@@ -651,21 +642,15 @@ def test_bracket_errors_are_raised_before_any_step(params, monkeypatch, final, m
 
 def test_calibration_is_memoized_and_read_only(params, table):
     assert calibrate_metastate_table(params) is table
-    assert calibrate_metastate_table(params, ratio_bounds=None) is table
+    assert calibrate_metastate_table(params, 3) is table
     assert table.plateaus.flags.writeable is False
     with pytest.raises(ValueError):
         table.plateaus[0] = 0.5
     np.testing.assert_allclose(table.plateaus, DEFAULT_PLATEAUS, rtol=1e-12)
 
 
-def test_memo_rechecks_ratio_bounds(params):
-    calibrate_metastate_table(params, ratio_bounds=None)
-    with pytest.raises(CalibrationError, match="ratio"):
-        calibrate_metastate_table(params, ratio_bounds=(5.0, 6.0))
-
-
 def test_memo_keys_on_device_params(params, table):
-    other = calibrate_metastate_table(DeviceParams(k_off=8.0e6), ratio_bounds=None)
+    other = calibrate_metastate_table(DeviceParams(k_off=8.0e6))
     assert other is not table
     assert not np.array_equal(other.plateaus, table.plateaus)
 
@@ -675,7 +660,7 @@ def test_failed_calibration_is_not_cached():
     strong = DeviceParams(k_off=1.0e9)
     for _ in range(2):
         with pytest.raises(CalibrationError, match="strictly increasing"):
-            calibrate_metastate_table(strong, ratio_bounds=None)
+            calibrate_metastate_table(strong)
 
 def test_non_increasing_plateaus_name_the_chain_and_the_pair():
     # the idealized device's deep high plateaus round to one float64 near 1.0
@@ -683,7 +668,7 @@ def test_non_increasing_plateaus_name_the_chain_and_the_pair():
         CalibrationError,
         match=r"at n_levels = 5: plateau 7 \(x = 0\.99999\d*\) is not below plateau 8 \(x = ",
     ):
-        calibrate_metastate_table(DeviceParams.idealized(), n_levels=5, ratio_bounds=None)
+        calibrate_metastate_table(DeviceParams.idealized(), n_levels=5)
 
 
 @pytest.mark.parametrize("k", [1.0e9, 1.0e12])
@@ -691,7 +676,7 @@ def test_plateau_on_a_rail_is_rejected(k):
     # one level at this strength ends the chain at x = 1.0, where the window
     # is exactly 0 and no depressing pulse could move the device
     with pytest.raises(CalibrationError, match="rail"):
-        calibrate_metastate_table(DeviceParams(k_off=k), n_levels=1, ratio_bounds=None)
+        calibrate_metastate_table(DeviceParams(k_off=k), n_levels=1)
 
 
 # ---- decode --------------------------------------------------------------------
@@ -836,7 +821,7 @@ def test_mirrored_devices_follow_the_chain_over_walks(params, n_levels):
     """Noise-free random walks from every plateau, for seeds 0-39: each step
     programs every walk in one pulse call per phase, read-verified, and
     every device must decode to the saturating +-1 of its chain index."""
-    table = calibrate_metastate_table(params, n_levels=n_levels, ratio_bounds=None)
+    table = calibrate_metastate_table(params, n_levels=n_levels)
     top = 2 * n_levels - 1
     seeds = range(40)
     index = np.tile(np.arange(top + 1), len(seeds))
@@ -865,6 +850,16 @@ def test_noise_model_rejects_bad_sigma(sigma):
     # NaN used to pass the check and then read as noise off; inf gave NaN states
     with pytest.raises(ValueError, match="sigma"):
         NoiseModel(sigma=sigma)
+
+
+def test_noise_model_settings_are_its_only_fields():
+    """A model's generator is state, not a setting: it cannot be passed in,
+    and a model that has drawn still equals one with the same settings."""
+    drawn, fresh = NoiseModel(sigma=0.1, rng_seed=3), NoiseModel(sigma=0.1, rng_seed=3)
+    drawn.rng().standard_normal(4)
+    assert drawn == fresh and repr(drawn) == repr(fresh)
+    with pytest.raises(TypeError, match="_rng"):
+        NoiseModel(sigma=0.1, _rng=np.random.default_rng(0))
 
 
 def test_unbound_noise_model_refuses_to_draw(params, table):

@@ -80,6 +80,14 @@ def test_comparison_requires_models():
         run_comparison(ExperimentSpec(base=BASE, seeds=(0,)), models=())
 
 
+@pytest.mark.parametrize("n_patterns", [2.5, True])
+def test_spec_rejects_a_non_integer_pattern_count(n_patterns):
+    # 2.5 used to construct and then fail deep inside the run with numpy's
+    # bare TypeError
+    with pytest.raises(ValueError, match="^n_patterns must be an integer >= 1"):
+        ExperimentSpec(base=BASE, seeds=(0,), n_patterns=n_patterns)
+
+
 @pytest.mark.parametrize("sweep", [sweep_size, sweep_cf])
 def test_gradient_hardware_sweep_rejected(sweep):
     base = NetworkConfig(n_in=16, n_out=16, model=Model.GRADIENT)
@@ -120,6 +128,22 @@ def test_comparison_runs_all_models_and_ratio():
     multi_mean, _ = res.crossing_stats("multistate")
     binary_mean, _ = res.crossing_stats("binary")
     assert res.ratio_vs_binary == pytest.approx(multi_mean / binary_mean)
+
+
+def test_models_may_be_named_by_value():
+    """Model is a str enum, so plain names select the same cells and give
+    byte-equal traces; an unknown name is rejected."""
+    spec = ExperimentSpec(base=BASE, seeds=(0,), n_patterns=8, hardware=True)
+    named = run_comparison(spec, ["binary", "multistate"])
+    enums = run_comparison(spec, (Model.BINARY, Model.MULTISTATE))
+    assert named.grid == enums.grid
+    assert named.ratio_vs_binary == enums.ratio_vs_binary
+    for label, traces in enums.traces.items():
+        for a, b in zip(named.traces[label], traces, strict=True):
+            assert a.learning.tobytes() == b.learning.tobytes()
+            assert a.mean.tobytes() == b.mean.tobytes()
+    with pytest.raises(ValueError, match="binray"):
+        run_comparison(spec, ["binray"])
 
 
 def test_hardware_flag_adds_crossbar_runs():

@@ -369,7 +369,7 @@ def test_retention_reader_equals_fresh_forward_every_step(cfg):
     assert trace.mean.tobytes() == scratch.mean.tobytes()
 
 
-@pytest.mark.parametrize("n_patterns", [0, -1])
+@pytest.mark.parametrize("n_patterns", [0, -1, 2.5])
 def test_run_lifetime_rejects_no_patterns(n_patterns):
     with pytest.raises(ValueError, match="n_patterns"):
         run_lifetime(NetworkConfig(n_in=16, n_out=16), n_patterns=n_patterns)
