@@ -34,6 +34,7 @@ from .network import (
     Model,
     NetworkConfig,
     Pattern,
+    _check_n_patterns,
     correct_pattern,
     lifetime_loop,
     make_pattern_set,
@@ -100,18 +101,19 @@ class Crossbar:
     """Device matrix plus read/program circuitry parameters: the hardware twin
     of a binary or multistate behavioral network, with its mask, its train
     stream and one device per crosspoint, connected ones on the plateau of
-    their chain index and pruned ones at x = 0.  Noise is drawn from a copy
-    of the given model on the run's own noise stream, so the model must
+    their chain index and pruned ones at x = 0.  The metastate table is the
+    device's calibration for the twin's level count.  Noise is drawn from a
+    copy of the given model on the run's own noise stream, so the model must
     leave rng_seed unset; the caller's model never draws."""
 
     def __init__(
         self,
         net: BehavioralNetwork,
         params: DeviceParams,
-        table: MetastateTable,
         noise: NoiseModel | None = None,
     ):
-        _require_crossbar_model(net.cfg)
+        _require_crossbar_model(net.cfg)  # before the calibration, which costs most
+        table = calibrate_metastate_table(params, n_levels=net.cfg.effective_levels)
         if not _V_READ < params.v_off:
             raise ValueError(f"v_off must exceed the {_V_READ} V read voltage, got {params.v_off}")
         self.v_half = abs(table.pulse.amplitude) / 2.0
@@ -180,15 +182,20 @@ def train_lockstep(
     so both guards are read first.  A round that programs no device makes
     no call.
 
-    The crossbars must share device params and programming pulse; each
-    crossbar draws from its own copy of the noise model it was built with.
-    The event log records one crossbar's events, one block per phase, so
-    it needs a single crossbar.
+    The crossbars must share device params, and so the programming pulse;
+    each crossbar draws from its own copy of the noise model it was built
+    with.  The event log records one crossbar's events, one block per phase,
+    so it needs a single crossbar.
     """
+    if not crossbars or len(pats) != len(crossbars):
+        raise ValueError(
+            "train_lockstep takes one pattern per crossbar and at least one crossbar, "
+            f"got {len(crossbars)} crossbars and {len(pats)} patterns"
+        )
     if log is not None and len(crossbars) != 1:
         raise ValueError("an event log records the events of one crossbar")
-    if len({(xb.params, xb.table.pulse) for xb in crossbars}) > 1:
-        raise ValueError("crossbars in lockstep must share device params and pulse")
+    if len({xb.params for xb in crossbars}) > 1:
+        raise ValueError("crossbars in lockstep must share device params")
     table, params = crossbars[0].table, crossbars[0].params
     decode = table.decode_index
 
@@ -246,16 +253,13 @@ def init_crossbar(
 ) -> Crossbar:
     """Build a crossbar mirroring the behavioral network's initial state.
 
-    The metastate table is calibrated for the config's level count, and the
-    crossbar is the twin of the config's freshly initialized behavioral
+    The crossbar is the twin of the config's freshly initialized behavioral
     network, so both paths start from identical synapses and draw their q
     gates from the same stream.
     """
-    _require_crossbar_model(cfg)  # before the calibration, which costs most
     if params is None:
         params = DeviceParams.default()
-    table = calibrate_metastate_table(params, n_levels=cfg.effective_levels)
-    return Crossbar(BehavioralNetwork.initialize(cfg), params, table, noise)
+    return Crossbar(BehavioralNetwork.initialize(cfg), params, noise)
 
 
 _LOCKSTEP_STATE_BYTES = 1 << 21  # one 512x512 run, or 16 runs at 128x128
@@ -299,12 +303,15 @@ def run_lifetime_hw(
     dropped.  One trace per config comes back, in config order, equal to the
     trace of that config alone; an event log needs a single config.
     """
+    _check_n_patterns(n_patterns)  # before any calibration
     if comparator is not None and not isinstance(comparator, ComparatorConfig):
         raise TypeError(f"comparator must be a ComparatorConfig or None, got {comparator!r}")
     one = isinstance(cfg, NetworkConfig)
     cfgs = [cfg] if one else list(cfg)
     if event_log is not None and len(cfgs) != 1:
         raise ValueError("an event log records the events of one crossbar: pass one config")
+    for c in cfgs:  # before the first group runs
+        _require_crossbar_model(c)
     traces = []
     for group in _lockstep_groups(cfgs):
         crossbars = [init_crossbar(c, params=params, noise=noise) for c in group]

@@ -137,7 +137,7 @@ def test_gradient_model_rejected(xb_small, monkeypatch):
     init_crossbar rejects it before calibrating."""
     gradient = NetworkConfig(n_in=16, n_out=16, model=Model.GRADIENT)
     with pytest.raises(ValueError, match="no crossbar realization"):
-        Crossbar(BehavioralNetwork.initialize(gradient), xb_small.params, xb_small.table)
+        Crossbar(BehavioralNetwork.initialize(gradient), xb_small.params)
 
     def no_calibration(*args, **kwargs):
         raise AssertionError("calibrated for a gradient network")
@@ -145,6 +145,22 @@ def test_gradient_model_rejected(xb_small, monkeypatch):
     monkeypatch.setattr(crossbar, "calibrate_metastate_table", no_calibration)
     with pytest.raises(ValueError, match="no crossbar realization"):
         init_crossbar(gradient)
+
+
+@pytest.mark.parametrize("model", [Model.BINARY, Model.MULTISTATE])
+def test_a_crossbar_calibrates_its_own_table(model):
+    """A crossbar takes the device's table for its twin's level count, even
+    right after a calibration of the same device for another count, and
+    every connected device sits on the plateau of its twin's chain index."""
+    params = DeviceParams()
+    five = calibrate_metastate_table(params, n_levels=5)
+    cfg = NetworkConfig(n_in=16, n_out=16, model=model, n_levels=3, seed=4)
+    net = BehavioralNetwork.initialize(cfg)
+    xb = Crossbar(net, params, noise=NoiseModel.off())
+    assert xb.table is calibrate_metastate_table(params, n_levels=cfg.effective_levels)
+    assert xb.table is not five and xb.table.n_levels == cfg.effective_levels
+    assert np.array_equal(xb.x[net.mask], xb.table.plateaus[net.state[net.mask]])
+    assert np.all(xb.x[~net.mask] == 0.0)
 
 
 # ---- programming protection ---------------------------------------------------------
@@ -187,9 +203,31 @@ def test_nan_sigma_rejected_before_a_hardware_run():
 
 
 @pytest.mark.parametrize("n_patterns", [0, -1, 2.5])
-def test_run_lifetime_hw_rejects_no_patterns(n_patterns):
+def test_run_lifetime_hw_rejects_no_patterns(n_patterns, monkeypatch):
+    """A bad count is rejected before any calibration."""
+    calls = []
+
+    def calibrate(*args, **kwargs):
+        calls.append(args)
+        return calibrate_metastate_table(*args, **kwargs)
+
+    monkeypatch.setattr(crossbar, "calibrate_metastate_table", calibrate)
     with pytest.raises(ValueError, match="n_patterns"):
         run_lifetime_hw(SMALL, n_patterns=n_patterns)
+    assert calls == []
+
+
+def test_every_model_is_checked_before_the_first_group_runs(monkeypatch):
+    """A gradient config anywhere in the list is rejected before the first
+    lockstep group runs, not after it."""
+    loops = []
+    monkeypatch.setattr(crossbar, "_LOCKSTEP_STATE_BYTES", 8 * 16 * 16)
+    monkeypatch.setattr(crossbar, "lifetime_loop", lambda *args: loops.append(args) or [])
+    small = NetworkConfig(n_in=16, n_out=16)
+    cfgs = [small, replace(small, model=Model.GRADIENT)]
+    with pytest.raises(ValueError, match="no crossbar realization"):
+        run_lifetime_hw(cfgs, n_patterns=2)
+    assert loops == []
 
 
 def test_default_noise_is_the_seeds_noise_stream():
@@ -245,6 +283,15 @@ def test_lockstep_rejects_what_it_cannot_share():
     pat = make_pattern_set(SMALL, 1)[0]
     with pytest.raises(ValueError, match="share device params"):
         train_lockstep([a, b], [pat, pat])
+    before = a.x.copy()
+    for xbs, pats, counts in [
+        ([a], [pat, pat], "1 crossbars and 2 patterns"),
+        ([a, a], [pat], "2 crossbars and 1 patterns"),
+        ([], [], "0 crossbars and 0 patterns"),
+    ]:
+        with pytest.raises(ValueError, match=f"one pattern per crossbar.*got {counts}"):
+            train_lockstep(xbs, pats)
+    assert a.x.tobytes() == before.tobytes()
 
 
 def test_comparator_must_be_a_comparator_config():
@@ -548,11 +595,14 @@ def test_read_voltage_must_stay_subthreshold():
 
 def test_a_read_voltage_in_the_noise_place_is_rejected(xb_small):
     # the read voltage is no parameter now, so an old positional call would
-    # pass it as the noise model
+    # pass it as the noise model; so would one that passes a table, which
+    # the crossbar now looks up itself
     with pytest.raises(TypeError, match=r"^noise must be a NoiseModel or None, got 0\.3$"):
         init_crossbar(SMALL, None, 0.3)
-    with pytest.raises(TypeError, match="noise"):
-        Crossbar(BehavioralNetwork.initialize(SMALL), xb_small.params, xb_small.table, 0.3)
+    net = BehavioralNetwork.initialize(SMALL)
+    for old_argument in (0.3, xb_small.table):
+        with pytest.raises(TypeError, match="NoiseModel"):
+            Crossbar(net, xb_small.params, old_argument)
 
 
 def test_half_select_must_stay_subthreshold_on_the_depress_side():
